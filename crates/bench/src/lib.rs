@@ -1,10 +1,11 @@
 //! Shared helpers for the `ccs-equiv` benchmark harness.
 //!
 //! The Criterion benches under `benches/` reproduce, as measured scaling
-//! experiments, the complexity results of Kanellakis & Smolka (see
-//! `EXPERIMENTS.md` at the repository root for the experiment-by-experiment
-//! mapping).  The `report` binary re-runs the same measurements with plain
-//! wall-clock timing and prints the tables recorded in `EXPERIMENTS.md`.
+//! experiments, the complexity results of Kanellakis & Smolka.  The
+//! `report` binary re-runs the same measurements with plain wall-clock
+//! timing and prints one table per experiment (`report --help` lists them);
+//! `crates/bench/baselines/` holds the committed snapshot that
+//! `compare_report` diffs against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,14 +19,6 @@ pub const SCALING_SIZES: [usize; 4] = [32, 64, 128, 256];
 /// Larger sizes used by the wall-clock `report` binary, where per-point cost
 /// matters less than a readable growth curve.
 pub const REPORT_SIZES: [usize; 5] = [64, 128, 256, 512, 1024];
-
-/// E7-family sizes for the parallel-refinement (PAR) table and the
-/// `partition_par` bench.  The first point sits below the default
-/// sequential-fallback threshold of `ccs_partition::par` (so the table
-/// shows the fallback tracking the sequential engine); the remaining points
-/// are large enough for the sharded scans to amortize the per-round merge
-/// barrier.
-pub const PAR_REPORT_SIZES: [usize; 4] = [256, 1024, 2048, 4096];
 
 /// A random restricted observable process of the given size, with the
 /// default density used across all experiments (≈2.5 transitions per state,

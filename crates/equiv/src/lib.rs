@@ -32,16 +32,14 @@
 //! * **[`EquivSession`]** owns one process and computes each artifact *once*
 //!   — the τ-closure, the saturated weak relation (streamed directly into
 //!   the `ccs-partition` CSR, never materialized as a second process), and
-//!   one memoized partition per `(Equivalence, Algorithm)` — then answers
+//!   one memoized partition per notion, refined by the session's one solver
+//!   (the smaller-half [`Algorithm::KanellakisSmolka`](ccs_partition::Algorithm::KanellakisSmolka)
+//!   unless built with [`EquivSession::with_algorithm`]) — then answers
 //!   batches of pair queries ([`EquivSession::equivalent_pairs`]) or
 //!   classifies the whole state space ([`EquivSession::classify_all`]) from
 //!   that shared state.  See the [`session`] module docs for the
 //!   artifact-sharing graph and the amortized-cost argument
-//!   (Theorem 4.1(a)).  With the parallel solver as the session default,
-//!   the subset-arena exploration behind the PSPACE notions is itself
-//!   sharded across the same thread pool
-//!   ([`determinize::SubsetAutomaton::explore_with`]) with a deterministic
-//!   merge barrier — same arena bytes at any thread count.
+//!   (Theorem 4.1(a)).
 //!
 //! # Quick example
 //!
@@ -90,8 +88,6 @@ pub mod weak;
 pub mod witness;
 
 pub use check::Equivalence;
-#[allow(deprecated)] // the wrappers stay re-exported until callers migrate
-pub use check::{equivalent, equivalent_states};
 pub use error::EquivError;
 pub use query::Query;
 pub use session::{EquivSession, SessionDeltaOutcome};

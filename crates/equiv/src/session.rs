@@ -14,9 +14,9 @@
 //!        │       │               │
 //!  SaturatedView  weak edges ──► ccs-partition CSR (weak Instance)
 //!        │      │                      │
-//!        │  SubsetAutomaton     one Partition per
-//!        │   (memoized subset  (Equivalence, Algorithm)
-//!        │    arena + PairCache)  memoization key
+//!        │  SubsetAutomaton     one memoized Partition
+//!        │   (memoized subset    per Equivalence, solved
+//!        │    arena + PairCache)  by the session's solver
 //!        │      │
 //!        │  product DFA ──► one refinement classifies
 //!        │      │           Language/Trace/Failure
@@ -31,10 +31,7 @@
 //! congruence-pruned synchronized search with a persistent pair cache), and
 //! the `≈ₖ` hierarchy (each level refines the same arena re-seeded with the
 //! previous level's class-set signatures — a whole `k = 1..K` sweep explores
-//! once).  When the session's default algorithm is the parallel solver, the
-//! arena exploration itself is sharded across the same thread pool with a
-//! deterministic merge barrier, so the arena stays byte-identical at any
-//! thread count.  The pre-determinization paths survive as oracles:
+//! once).  The pre-determinization paths survive as oracles:
 //! [`EquivSession::representative_scan_partition`] for the determinized
 //! notions and [`kobs::kobs_partition`] for the levels.
 //!
@@ -54,12 +51,23 @@
 //! [`Arc`] across worker threads.  This is what the `ccs-server` crate
 //! serves concurrent clients from: one resident session, many threads.
 //!
-//! Partition memoization is **single-flight**: each `(notion, algorithm)`
-//! key owns one inner `OnceLock`, so when `m` threads race to classify the
-//! same notion, exactly one runs the refinement and the other `m − 1` block
-//! on the lock and reuse its result.  [`EquivSession::refinements_run`]
+//! Partition memoization is **single-flight**: each notion owns one inner
+//! `OnceLock`, so when `m` threads race to classify the same notion,
+//! exactly one runs the refinement and the other `m − 1` block on the lock
+//! and reuse its result.  [`EquivSession::refinements_run`]
 //! counts the refinements that actually executed — the counter the server's
 //! coalescing stats (and the concurrency tests) observe.
+//!
+//! # One solver per session
+//!
+//! A session refines with one [`Algorithm`], fixed when it is built:
+//! [`EquivSession::new`] uses the paper's Section 3 smaller-half algorithm
+//! ([`Algorithm::KanellakisSmolka`]), and [`EquivSession::with_algorithm`]
+//! names another one — the reproduction exhibits and the differential
+//! oracles build sessions that way.  Every solver returns the same
+//! canonical partition, so the solver is not part of the memo key, and
+//! [`EquivSession::apply_delta`] repairs cached partitions with the same
+//! solver.
 //!
 //! # Amortized cost
 //!
@@ -172,9 +180,9 @@ pub struct EquivSession {
     /// plus the per-notion pair caches (built lazily; serves
     /// Language/Trace/Failure classification and pair queries alike).
     det: Mutex<DetState>,
-    /// Single-flight memo: one inner `OnceLock` per key, so concurrent
+    /// Single-flight memo: one inner `OnceLock` per notion, so concurrent
     /// queries for the same partition run exactly one refinement.
-    partitions: Mutex<HashMap<(Equivalence, Algorithm), PartitionCell>>,
+    partitions: Mutex<HashMap<Equivalence, PartitionCell>>,
     /// Number of partition computations that actually executed (cache
     /// misses) — the coalescing evidence read by `refinements_run`.
     refinements: AtomicUsize,
@@ -182,17 +190,24 @@ pub struct EquivSession {
     /// one across τ-free [`EquivSession::apply_delta`] batches — the
     /// counter the mutation-path retention tests observe.
     closure_builds: AtomicUsize,
-    /// Solver used by [`EquivSession::classify_all`] and the batched APIs
-    /// when the caller does not name one — e.g.
-    /// [`Algorithm::KanellakisSmolkaParallel`] to run the session's one big
-    /// refinement sharded across threads.
-    default_algorithm: Algorithm,
+    /// The refinement solver every partition of this session is computed
+    /// (and delta-repaired) with, fixed at construction.
+    algorithm: Algorithm,
 }
 
 impl EquivSession {
-    /// Creates a session owning `fsp`.
+    /// Creates a session owning `fsp` that refines with the smaller-half
+    /// algorithm ([`Algorithm::KanellakisSmolka`]).
     #[must_use]
     pub fn new(fsp: Fsp) -> Self {
+        EquivSession::with_algorithm(fsp, Algorithm::KanellakisSmolka)
+    }
+
+    /// Creates a session owning `fsp` whose every refinement runs with
+    /// `algorithm` — the entry point of the reproduction exhibits and the
+    /// cross-solver oracles.
+    #[must_use]
+    pub fn with_algorithm(fsp: Fsp, algorithm: Algorithm) -> Self {
         EquivSession {
             fsp,
             closure: OnceLock::new(),
@@ -204,33 +219,8 @@ impl EquivSession {
             partitions: Mutex::new(HashMap::new()),
             refinements: AtomicUsize::new(0),
             closure_builds: AtomicUsize::new(0),
-            default_algorithm: Algorithm::PaigeTarjan,
+            algorithm,
         }
-    }
-
-    /// Creates a session owning `fsp` whose default solver is `algorithm` —
-    /// every [`EquivSession::classify_all`] / batched query then runs its
-    /// refinement with it (e.g. sharded across threads with
-    /// [`Algorithm::KanellakisSmolkaParallel`]).
-    #[must_use]
-    pub fn with_algorithm(fsp: Fsp, algorithm: Algorithm) -> Self {
-        let mut session = EquivSession::new(fsp);
-        session.default_algorithm = algorithm;
-        session
-    }
-
-    /// Changes the default solver for subsequent queries.  Already-memoized
-    /// partitions stay valid (the cache is keyed by algorithm; every solver
-    /// produces the same canonical partition).  Takes `&mut self`: pick the
-    /// default before sharing the session across threads.
-    pub fn set_default_algorithm(&mut self, algorithm: Algorithm) {
-        self.default_algorithm = algorithm;
-    }
-
-    /// The solver used when a query does not name one.
-    #[must_use]
-    pub fn default_algorithm(&self) -> Algorithm {
-        self.default_algorithm
     }
 
     /// Creates a session over a clone of `fsp` — the delegation path of the
@@ -353,16 +343,6 @@ impl EquivSession {
         self.ensure_limited(usize::MAX)
     }
 
-    /// Only [`Equivalence::Strong`] and [`Equivalence::Observational`] go
-    /// through a refinement solver; every other notion's partition is
-    /// algorithm-independent, so they share one cache entry.
-    fn cache_key(notion: Equivalence, algorithm: Algorithm) -> (Equivalence, Algorithm) {
-        match notion {
-            Equivalence::Strong | Equivalence::Observational => (notion, algorithm),
-            _ => (notion, Algorithm::PaigeTarjan),
-        }
-    }
-
     /// Size of the session's shared subset arena (building the automaton if
     /// it does not exist yet).  Exposed for diagnostics — e.g. in the
     /// report's DET table.
@@ -384,11 +364,10 @@ impl EquivSession {
             .steps_computed()
     }
 
-    /// The partition of all states into `notion`-equivalence classes, using
-    /// the chosen refinement algorithm where one applies, memoized per
-    /// `(notion, algorithm)`.
+    /// The partition of *all* states into `notion`-equivalence classes,
+    /// computed with the session's solver and memoized per notion.
     ///
-    /// Concurrent callers racing on the same key are **coalesced**: one of
+    /// Concurrent callers racing on the same notion are **coalesced**: one of
     /// them runs the computation, the rest block and share its result (see
     /// [`EquivSession::refinements_run`]).
     ///
@@ -404,38 +383,25 @@ impl EquivSession {
     /// Expect exponential worst-case behaviour in the arena size, exactly
     /// as Theorem 4.1(b)/5.1 demand — but paid once per subset, not once
     /// per pair (or per pair per level).
-    pub fn partition_with(&self, notion: Equivalence, algorithm: Algorithm) -> Arc<Partition> {
-        let key = Self::cache_key(notion, algorithm);
+    pub fn classify_all(&self, notion: Equivalence) -> Arc<Partition> {
         let cell = {
             let mut map = self.partitions.lock().expect("partitions lock poisoned");
-            Arc::clone(map.entry(key).or_default())
+            Arc::clone(map.entry(notion).or_default())
         };
         Arc::clone(cell.get_or_init(|| {
             self.refinements.fetch_add(1, Ordering::Relaxed);
-            Arc::new(self.compute_partition(notion, algorithm))
+            Arc::new(self.compute_partition(notion))
         }))
     }
 
-    /// [`EquivSession::partition_with`] under the session's default
-    /// algorithm (Paige–Tarjan unless reconfigured): the partition of *all*
-    /// states into `notion`-classes.
-    pub fn classify_all(&self, notion: Equivalence) -> Arc<Partition> {
-        self.partition_with(notion, self.default_algorithm)
-    }
-
-    /// The memoized partition for `key`, if some call already computed it.
-    fn cached_partition(
-        &self,
-        notion: Equivalence,
-        algorithm: Algorithm,
-    ) -> Option<Arc<Partition>> {
+    /// The memoized partition for `notion`, if some call already computed it.
+    fn cached_partition(&self, notion: Equivalence) -> Option<Arc<Partition>> {
         let map = self.partitions.lock().expect("partitions lock poisoned");
-        map.get(&Self::cache_key(notion, algorithm))
-            .and_then(|cell| cell.get())
-            .cloned()
+        map.get(&notion).and_then(|cell| cell.get()).cloned()
     }
 
-    fn compute_partition(&self, notion: Equivalence, algorithm: Algorithm) -> Partition {
+    fn compute_partition(&self, notion: Equivalence) -> Partition {
+        let algorithm = self.algorithm;
         match notion {
             Equivalence::Strong => solve(self.strong_instance(), algorithm),
             Equivalence::Observational => solve(self.weak_instance(), algorithm),
@@ -450,20 +416,13 @@ impl EquivSession {
                 // exploration is memoized, so a k = 1..K sweep explores
                 // once and every further level is one signature pass plus
                 // one refinement of the re-seeded subset DFA.
-                let prev = self.partition_with(Equivalence::KObservational(k - 1), algorithm);
+                let prev = self.classify_all(Equivalence::KObservational(k - 1));
                 let view = self.saturated_view();
                 let mut state = self.det.lock().expect("det lock poisoned");
                 let auto = state
                     .automaton
                     .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-                kobs::arena_level(
-                    auto,
-                    view,
-                    self.fsp.num_states(),
-                    &prev,
-                    algorithm,
-                    Self::explore_threads(algorithm),
-                )
+                kobs::arena_level(auto, view, self.fsp.num_states(), &prev, algorithm)
             }
             Equivalence::Language | Equivalence::Trace | Equivalence::Failure => {
                 let det = DetNotion::of(notion).expect("matched a determinizable notion");
@@ -472,28 +431,14 @@ impl EquivSession {
                 let auto = state
                     .automaton
                     .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-                determinize::determinized_partition_with(
+                determinize::determinized_partition(
                     auto,
                     view,
                     det,
                     self.fsp.num_states(),
                     algorithm,
-                    Self::explore_threads(algorithm),
                 )
             }
-        }
-    }
-
-    /// Worker count for sharded frontier exploration, derived from the
-    /// solver choice: the parallel solver's thread pool doubles as the
-    /// exploration pool (both default through `CCS_THREADS` via
-    /// [`Algorithm::parallel_default`]); any other solver explores
-    /// sequentially.  The arena is byte-identical either way — the knob is
-    /// pure wall-clock.
-    fn explore_threads(algorithm: Algorithm) -> usize {
-        match algorithm {
-            Algorithm::KanellakisSmolkaParallel { threads } => threads,
-            _ => 1,
         }
     }
 
@@ -630,7 +575,7 @@ impl EquivSession {
     pub fn equivalent_states(&self, p: StateId, q: StateId, notion: Equivalence) -> bool {
         match DetNotion::of(notion) {
             Some(det) => {
-                if let Some(partition) = self.cached_partition(notion, self.default_algorithm) {
+                if let Some(partition) = self.cached_partition(notion) {
                     return partition.same_block(p.index(), q.index());
                 }
                 self.det_pair_equivalent(det, p, q)
@@ -650,9 +595,7 @@ impl EquivSession {
     /// state and would dwarf the batch; the per-pair searches still share
     /// the session's one subset arena and memoize their verdicts.
     pub fn equivalent_pairs(&self, notion: Equivalence, pairs: &[(StateId, StateId)]) -> Vec<bool> {
-        let cached = self
-            .cached_partition(notion, self.default_algorithm)
-            .is_some();
+        let cached = self.cached_partition(notion).is_some();
         if let Some(det) = DetNotion::of(notion) {
             if !cached && pairs.len() < self.fsp.num_states() {
                 return pairs
@@ -676,8 +619,8 @@ impl EquivSession {
     }
 
     /// Number of partition computations that actually executed, across all
-    /// `(notion, algorithm)` keys.  Because memoization is single-flight,
-    /// `m` concurrent queries against one key bump this by exactly one —
+    /// notions.  Because memoization is single-flight, `m` concurrent
+    /// queries against one notion bump this by exactly one —
     /// the coalescing evidence the `ccs-server` stats (and the concurrent
     /// integration tests) report.
     #[must_use]
@@ -791,7 +734,7 @@ impl EquivSession {
                 .get_mut()
                 .expect("partitions lock poisoned")
                 .iter()
-                .any(|((notion, _), cell)| {
+                .any(|(notion, cell)| {
                     !matches!(notion, Equivalence::Strong) && cell.get().is_some()
                 });
         // Per-candidate weak successor rows (one Vec per action), snapshotted
@@ -950,9 +893,10 @@ impl EquivSession {
         // what the weak fate proves untouched, drop the rest for lazy
         // recomputation.  Cells are rebuilt rather than mutated — the memo
         // is single-flight per cell, and `&mut self` guarantees no reader.
+        let algorithm = self.algorithm;
         let map = self.partitions.get_mut().expect("partitions lock poisoned");
         let old_cells = std::mem::take(map);
-        for ((notion, alg), cell) in old_cells {
+        for (notion, cell) in old_cells {
             let Some(prev) = cell.get().cloned() else {
                 continue; // never computed: drop the empty cell
             };
@@ -965,7 +909,7 @@ impl EquivSession {
                             &prev,
                             &strong_adds,
                             &strong_removes,
-                            alg,
+                            algorithm,
                             threshold,
                         );
                         Some(next)
@@ -976,12 +920,12 @@ impl EquivSession {
                 // Level 0 of `≈ₖ` is the extension-set partition — edge
                 // edits cannot touch it.
                 Equivalence::KObservational(0) => {
-                    map.insert((notion, alg), cell);
+                    map.insert(notion, cell);
                     continue;
                 }
                 Equivalence::Observational => match weak_fate {
                     WeakFate::Valid => {
-                        map.insert((notion, alg), cell);
+                        map.insert(notion, cell);
                         continue;
                     }
                     WeakFate::Updated if self.weak_instance.get().is_some() => {
@@ -991,7 +935,7 @@ impl EquivSession {
                             &prev,
                             &weak_adds,
                             &weak_removes,
-                            alg,
+                            algorithm,
                             threshold,
                         );
                         Some(next)
@@ -1000,7 +944,7 @@ impl EquivSession {
                 },
                 _ => match weak_fate {
                     WeakFate::Valid => {
-                        map.insert((notion, alg), cell);
+                        map.insert(notion, cell);
                         continue;
                     }
                     _ => None,
@@ -1011,7 +955,7 @@ impl EquivSession {
                 fresh
                     .set(Arc::new(next))
                     .expect("freshly created partition cell");
-                map.insert((notion, alg), fresh);
+                map.insert(notion, fresh);
                 outcome.partitions_delta_refined += 1;
             }
         }
@@ -1138,7 +1082,7 @@ mod tests {
         assert_shareable::<Arc<EquivSession>>();
     }
 
-    /// Eight threads racing on the same `(notion, algorithm)` key must get
+    /// Eight threads racing on the same notion must get
     /// byte-identical answers from exactly ONE refinement.
     #[test]
     fn concurrent_queries_coalesce_into_one_refinement() {
@@ -1188,9 +1132,9 @@ mod tests {
             "trans a tau b\ntrans b x c\ntrans c tau a\ntrans d x e\ntrans e tau d\naccept c e",
         )
         .unwrap();
-        let session = EquivSession::for_process(&f);
         for alg in Algorithm::ALL {
-            let from_session = session.partition_with(Equivalence::Observational, alg);
+            let from_session = EquivSession::with_algorithm(f.clone(), alg)
+                .classify_all(Equivalence::Observational);
             assert_eq!(
                 from_session.as_ref(),
                 weak::weak_partition_with(&f, alg).partition(),
@@ -1275,45 +1219,24 @@ mod tests {
         assert_eq!(session.refinements_run(), 1);
     }
 
-    /// A session defaulted to the sharded parallel solver must classify
-    /// every notion exactly as the Paige–Tarjan default does — the
-    /// refinement-backed notions run their one big refinement through
-    /// `par::refine`, the pairwise ones are unaffected by the solver.
+    /// The memo is keyed by notion alone: a pair query and a whole-space
+    /// classification of the same notion share one cached partition and
+    /// one refinement, whichever solver the session was built with.
     #[test]
-    fn parallel_default_algorithm_classifies_identically() {
+    fn pair_and_classify_of_one_notion_share_one_refinement() {
         let (merged, split) = table_ii_pair();
         let union = ccs_fsp::ops::disjoint_union(&merged, &split);
-        let reference = EquivSession::new(union.fsp.clone());
-        let parallel = EquivSession::with_algorithm(
-            union.fsp.clone(),
-            Algorithm::KanellakisSmolkaParallel { threads: 2 },
-        );
-        assert_eq!(
-            parallel.default_algorithm(),
-            Algorithm::KanellakisSmolkaParallel { threads: 2 }
-        );
-        for notion in [
-            Equivalence::Strong,
-            Equivalence::Observational,
-            Equivalence::KObservational(2),
-            Equivalence::Failure,
-        ] {
-            assert_eq!(
-                parallel.classify_all(notion),
-                reference.classify_all(notion),
-                "{notion}"
-            );
+        let (p, q) = ccs_fsp::ops::union_starts(&union, &merged, &split);
+        for alg in Algorithm::ALL {
+            let session = EquivSession::with_algorithm(union.fsp.clone(), alg);
+            assert!(!crate::Query::new(Equivalence::Observational)
+                .pair(&session, p, q)
+                .unwrap());
+            let partition = session.classify_all(Equivalence::Observational);
+            assert!(!partition.same_block(p.index(), q.index()));
+            assert_eq!(session.cached_partitions(), 1, "{alg}");
+            assert_eq!(session.refinements_run(), 1, "{alg}");
         }
-        // Batched pair queries go through the parallel default as well.
-        let states: Vec<StateId> = union.fsp.state_ids().collect();
-        let pairs: Vec<(StateId, StateId)> = states
-            .iter()
-            .flat_map(|&a| states.iter().map(move |&b| (a, b)))
-            .collect();
-        assert_eq!(
-            parallel.equivalent_pairs(Equivalence::Observational, &pairs),
-            reference.equivalent_pairs(Equivalence::Observational, &pairs)
-        );
     }
 
     #[test]

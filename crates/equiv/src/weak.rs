@@ -29,6 +29,15 @@ pub struct WeakPartition {
 }
 
 impl WeakPartition {
+    fn of(session: &EquivSession) -> Self {
+        WeakPartition {
+            partition: session
+                .classify_all(Equivalence::Observational)
+                .as_ref()
+                .clone(),
+        }
+    }
+
     /// Returns `true` iff the two states are observationally equivalent.
     #[must_use]
     pub fn equivalent(&self, p: StateId, q: StateId) -> bool {
@@ -63,20 +72,14 @@ impl WeakPartition {
 /// materialized on this path.
 #[must_use]
 pub fn weak_partition_with(fsp: &Fsp, algorithm: Algorithm) -> WeakPartition {
-    let session = EquivSession::for_process(fsp);
-    WeakPartition {
-        partition: session
-            .partition_with(Equivalence::Observational, algorithm)
-            .as_ref()
-            .clone(),
-    }
+    WeakPartition::of(&EquivSession::with_algorithm(fsp.clone(), algorithm))
 }
 
-/// Computes the observational-equivalence partition with the default
-/// (Paige–Tarjan) algorithm.
+/// Computes the observational-equivalence partition with the session
+/// solver ([`EquivSession::new`]).
 #[must_use]
 pub fn weak_partition(fsp: &Fsp) -> WeakPartition {
-    weak_partition_with(fsp, Algorithm::PaigeTarjan)
+    WeakPartition::of(&EquivSession::for_process(fsp))
 }
 
 /// Tests whether two states of the same process are observationally

@@ -6,9 +6,7 @@
 //! workload families (including the exponential-blowup family), random
 //! processes, and every refinement solver.
 
-use ccs_equiv::determinize::{determinized_partition, DetNotion, SubsetAutomaton, SubsetRepr};
 use ccs_equiv::{EquivSession, Equivalence};
-use ccs_fsp::saturate::{tau_closure, SaturatedView};
 use ccs_fsp::Fsp;
 use ccs_partition::Algorithm;
 use ccs_workloads::{families, random, RandomConfig};
@@ -57,9 +55,9 @@ fn every_solver_classifies_the_blowup_family_identically() {
     for notion in NOTIONS {
         let oracle = oracle_session.representative_scan_partition(notion);
         for alg in Algorithm::ALL {
-            let session = EquivSession::for_process(&fsp);
+            let session = EquivSession::with_algorithm(fsp.clone(), alg);
             assert_eq!(
-                session.partition_with(notion, alg).as_ref(),
+                session.classify_all(notion).as_ref(),
                 &oracle,
                 "{notion} via {alg}"
             );
@@ -67,82 +65,8 @@ fn every_solver_classifies_the_blowup_family_identically() {
     }
 }
 
-/// The member-representation split must be invisible everywhere above the
-/// byte layout: dense-bitset and sparse-run arenas intern the same ids in
-/// the same order, compute the same transition table, and classify every
-/// notion identically.
-fn assert_reprs_agree(fsp: &Fsp, label: &str) {
-    let closure = tau_closure(fsp);
-    let view = SaturatedView::build(fsp, &closure);
-    let mut dense = SubsetAutomaton::with_repr(fsp, SubsetRepr::Dense);
-    let mut sparse = SubsetAutomaton::with_repr(fsp, SubsetRepr::Sparse);
-    for s in fsp.state_ids() {
-        assert_eq!(
-            dense.start(&view, s),
-            sparse.start(&view, s),
-            "{label}: {s}"
-        );
-    }
-    dense.explore(&view);
-    sparse.explore(&view);
-    assert_eq!(dense.num_subsets(), sparse.num_subsets(), "{label}");
-    assert_eq!(
-        dense.transition_table(),
-        sparse.transition_table(),
-        "{label}"
-    );
-    for id in 0..u32::try_from(dense.num_subsets()).unwrap() {
-        assert_eq!(dense.subset(id), sparse.subset(id), "{label}: subset {id}");
-    }
-    for notion in [DetNotion::Language, DetNotion::Trace, DetNotion::Failure] {
-        let mut d = SubsetAutomaton::with_repr(fsp, SubsetRepr::Dense);
-        let mut s = SubsetAutomaton::with_repr(fsp, SubsetRepr::Sparse);
-        assert_eq!(
-            determinized_partition(
-                &mut d,
-                &view,
-                notion,
-                fsp.num_states(),
-                Algorithm::PaigeTarjan
-            ),
-            determinized_partition(
-                &mut s,
-                &view,
-                notion,
-                fsp.num_states(),
-                Algorithm::PaigeTarjan
-            ),
-            "{label}: {notion:?}"
-        );
-    }
-}
-
-#[test]
-fn dense_and_sparse_reprs_agree_on_the_blowup_family() {
-    for (n, w) in [(6usize, 2usize), (14, 3), (24, 4)] {
-        assert_reprs_agree(&families::det_blowup(n, w), "blowup");
-    }
-    assert_reprs_agree(&families::tau_chain(9), "tau-chain");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Bitset and sorted-run subset interning build identical arenas and
-    /// identical verdicts on random processes.
-    #[test]
-    fn dense_and_sparse_reprs_agree_on_random_processes(
-        states in 2usize..10,
-        seed in 0u64..300,
-        tau in 0usize..2,
-    ) {
-        let fsp = random::random_fsp(&RandomConfig {
-            tau_ratio: if tau == 1 { 0.3 } else { 0.0 },
-            accept_ratio: 0.5,
-            ..RandomConfig::sized(states, seed)
-        });
-        assert_reprs_agree(&fsp, "random");
-    }
 
     /// Random processes, general and restricted: the determinized engine
     /// and the representative scan agree on all three notions at every

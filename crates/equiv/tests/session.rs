@@ -133,9 +133,9 @@ proptest! {
     fn observational_partition_per_algorithm(raw in process_strategy()) {
         let fsp = build(&raw);
         let saturated = ccs_fsp::saturate::saturate(&fsp);
-        let session = EquivSession::for_process(&fsp);
         for alg in Algorithm::ALL {
-            let from_session = session.partition_with(Equivalence::Observational, alg);
+            let from_session = EquivSession::with_algorithm(fsp.clone(), alg)
+                .classify_all(Equivalence::Observational);
             let legacy = strong::strong_partition_with(&saturated.fsp, alg);
             prop_assert_eq!(from_session.as_ref(), legacy.partition(), "legacy oracle, {}", alg);
             let free = weak::weak_partition_with(&fsp, alg);

@@ -2,7 +2,7 @@
 //! `(session, notion)` coalesce into **one** `classify_all` refinement.
 //!
 //! The session engine already single-flights its partition memo (racing
-//! callers of [`EquivSession::partition_with`] block on one `OnceLock`), so
+//! callers of [`EquivSession::classify_all`] block on one `OnceLock`), so
 //! correctness never depends on this layer.  What the [`Coalescer`] adds is
 //! the *service-level* grouping and its observability: every pair query
 //! joins a group keyed by `(session handle, notion)`; the first member of a

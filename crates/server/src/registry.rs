@@ -191,20 +191,10 @@ impl Registry {
             .sessions
             .remove(id)
             .ok_or_else(|| EquivError::UnknownSession { id: id.to_owned() })?;
-        let outcome = match Arc::try_unwrap(entry.session) {
-            Ok(mut session) => {
-                let outcome = session.apply_delta(additions, removals);
-                entry.session = Arc::new(session);
-                outcome
-            }
-            Err(shared) => {
-                let mut session =
-                    EquivSession::with_algorithm(shared.fsp().clone(), shared.default_algorithm());
-                let outcome = session.apply_delta(additions, removals);
-                entry.session = Arc::new(session);
-                outcome
-            }
-        };
+        let mut session = Arc::try_unwrap(entry.session)
+            .unwrap_or_else(|shared| EquivSession::new(shared.fsp().clone()));
+        let outcome = session.apply_delta(additions, removals);
+        entry.session = Arc::new(session);
         entry.touched = now;
         inner.sessions.insert(id.to_owned(), entry);
         Ok(outcome)

@@ -1,20 +1,19 @@
-//! Determinism suite for the sharded parallel subset exploration: at 1, 2
-//! and 8 worker threads, `SubsetAutomaton::explore_with_threshold` must
-//! produce an arena byte-identical to the sequential lazy BFS — the same
-//! subset ids in the same intern order, the same member sets, enabled
-//! lists, acceptance bits, transition table and refusal classes — on
-//! structured families, the determinization blowup family, the `≈ₖ`
-//! ladder, and proptest-drawn random processes.
-//!
-//! The parallel runs force the sequential-fallback threshold to `0` so
-//! even small processes exercise the sharded rounds, mirroring
-//! `tests/parallel_determinism.rs` for the refinement engine.
+//! Determinism suite for the shared subset arena: the explored arena is a
+//! function of the process alone.  Two independent explorations — one over
+//! dense bitset member rows, one over sparse sorted runs — must produce
+//! byte-identical arenas: the same start subsets, the same subset ids in the
+//! same intern order, the same member sets, enabled lists, acceptance bits,
+//! transition table and refusal classes.  Every notion's per-subset output
+//! classes are read off those, so identical snapshots mean identical
+//! determinized verdicts.  Checked on structured families, the
+//! determinization blowup family, the `≈ₖ` ladder, and proptest-drawn random
+//! processes.
 //!
 //! The second half pins the one-arena `≈ₖ` engine to the per-pair
 //! synchronized-BFS oracle for k ∈ 0..=4, both through the free functions
 //! and through a session sweep.
 
-use ccs_equiv::determinize::{SubsetAutomaton, SubsetId};
+use ccs_equiv::determinize::{SubsetAutomaton, SubsetId, SubsetRepr};
 use ccs_equiv::{kobs, EquivSession, Equivalence};
 use ccs_fsp::saturate::{tau_closure, SaturatedView};
 use ccs_fsp::{format, Fsp};
@@ -22,12 +21,10 @@ use ccs_partition::Algorithm;
 use ccs_workloads::{families, random, RandomConfig};
 use proptest::prelude::*;
 
-/// The thread counts the determinism contract is checked at.
-const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
-
 /// Every observable byte of an explored arena, in id order.
 #[derive(Debug, PartialEq, Eq)]
 struct ArenaSnapshot {
+    starts: Vec<SubsetId>,
     num_subsets: usize,
     steps_computed: usize,
     delta: Vec<u32>,
@@ -37,19 +34,17 @@ struct ArenaSnapshot {
     refusal_classes: Vec<u32>,
 }
 
-/// Interns every state's start subset, explores with the given thread
-/// count (threshold 0: always sharded when `threads > 1`), and snapshots
-/// the arena.
-fn explore_snapshot(fsp: &Fsp, view: &SaturatedView, threads: usize) -> ArenaSnapshot {
-    let mut auto = SubsetAutomaton::new(fsp);
-    for s in fsp.state_ids() {
-        auto.start(view, s);
-    }
-    auto.explore_with_threshold(view, threads, 0);
+/// Interns every state's start subset, explores the arena to completion
+/// with the given member store, and snapshots it.
+fn explore_snapshot(fsp: &Fsp, view: &SaturatedView, repr: SubsetRepr) -> ArenaSnapshot {
+    let mut auto = SubsetAutomaton::with_repr(fsp, repr);
+    let starts = fsp.state_ids().map(|s| auto.start(view, s)).collect();
+    auto.explore(view);
     let ids: Vec<SubsetId> = (0..auto.num_subsets())
         .map(|i| u32::try_from(i).unwrap())
         .collect();
     ArenaSnapshot {
+        starts,
         num_subsets: auto.num_subsets(),
         steps_computed: auto.steps_computed(),
         delta: auto.transition_table().to_vec(),
@@ -60,30 +55,22 @@ fn explore_snapshot(fsp: &Fsp, view: &SaturatedView, threads: usize) -> ArenaSna
     }
 }
 
-/// Asserts that every parallel thread count reproduces the sequential
-/// arena snapshot byte for byte.
+/// Asserts that the dense and the sparse member store, and a repeated
+/// build, all reproduce the same arena snapshot byte for byte.
 fn assert_arena_deterministic(fsp: &Fsp, context: &str) {
     let closure = tau_closure(fsp);
     let view = SaturatedView::build(fsp, &closure);
-    let mut sequential = SubsetAutomaton::new(fsp);
-    for s in fsp.state_ids() {
-        sequential.start(&view, s);
-    }
-    sequential.explore(&view);
-    let baseline = explore_snapshot(fsp, &view, 1);
+    let baseline = explore_snapshot(fsp, &view, SubsetRepr::Dense);
     assert_eq!(
-        baseline.num_subsets,
-        sequential.num_subsets(),
-        "{context}: explore_with_threshold(1) diverged from plain explore"
+        explore_snapshot(fsp, &view, SubsetRepr::Dense),
+        baseline,
+        "{context}: a repeated build diverged"
     );
-    assert_eq!(baseline.delta, sequential.transition_table());
-    for threads in THREAD_COUNTS {
-        let parallel = explore_snapshot(fsp, &view, threads);
-        assert_eq!(
-            parallel, baseline,
-            "{context}: {threads} threads diverged from sequential arena"
-        );
-    }
+    assert_eq!(
+        explore_snapshot(fsp, &view, SubsetRepr::Sparse),
+        baseline,
+        "{context}: the sparse store diverged from the dense one"
+    );
 }
 
 #[test]
@@ -101,8 +88,8 @@ fn structured_families_build_identical_arenas() {
 #[test]
 fn blowup_and_ladder_arenas_are_deterministic() {
     // The subset arena here is larger than the process — the interesting
-    // case: parallel rounds with many frontier rows.
-    for (n, w) in [(12usize, 3usize), (16, 6)] {
+    // case: many interned subsets per original state.
+    for (n, w) in [(6usize, 2usize), (12, 3), (16, 6), (24, 4)] {
         assert_arena_deterministic(&families::det_blowup(n, w), &format!("det_blowup({n},{w})"));
     }
     for (n, k) in [(23usize, 3usize), (60, 4)] {
@@ -147,14 +134,9 @@ fn kobs_arena_sweep_matches_the_pairwise_oracle() {
                 "{name}: one-arena sweep diverged at k = {k}"
             );
             assert_eq!(
-                &kobs::kobs_partition_arena_with(
-                    f,
-                    k,
-                    Algorithm::KanellakisSmolkaParallel { threads: 2 },
-                    2,
-                ),
+                &kobs::kobs_partition_arena_with(f, k, Algorithm::PaigeTarjan),
                 &oracle,
-                "{name}: parallel one-arena sweep diverged at k = {k}"
+                "{name}: Paige–Tarjan one-arena sweep diverged at k = {k}"
             );
             assert_eq!(
                 session
@@ -193,11 +175,9 @@ proptest! {
         let f = random::random_fsp(&config);
         let closure = tau_closure(&f);
         let view = SaturatedView::build(&f, &closure);
-        let baseline = explore_snapshot(&f, &view, 1);
-        for threads in THREAD_COUNTS {
-            let parallel = explore_snapshot(&f, &view, threads);
-            prop_assert_eq!(&parallel, &baseline, "{} threads", threads);
-        }
+        let dense = explore_snapshot(&f, &view, SubsetRepr::Dense);
+        let sparse = explore_snapshot(&f, &view, SubsetRepr::Sparse);
+        prop_assert_eq!(&sparse, &dense);
     }
 
     #[test]
