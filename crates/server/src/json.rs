@@ -155,6 +155,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 /// Returns a human-readable description of the first syntax problem.
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -168,6 +169,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -290,15 +292,20 @@ impl Parser<'_> {
                     }
                 }
                 Some(_) => {
-                    // Consume one whole UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8 in string".to_owned())?;
-                    let c = rest.chars().next().expect("peek saw a byte");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
+                    // Copy the run of plain characters up to the next quote
+                    // or escape.  Both are ASCII, so the run ends on a
+                    // character boundary of the input `str`.
+                    let start = self.pos;
+                    while let Some(byte) = self.peek() {
+                        match byte {
+                            b'"' | b'\\' => break,
+                            0..=0x1f => {
+                                return Err(format!("raw control character at byte {}", self.pos))
+                            }
+                            _ => self.pos += 1,
+                        }
                     }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -408,6 +415,10 @@ mod tests {
         assert!(parse("\"unterminated").is_err());
         assert!(parse("{} trailing").is_err());
         assert!(parse("nul").is_err());
+        assert_eq!(
+            parse("\"ü\u{1}\"").unwrap_err(),
+            "raw control character at byte 3"
+        );
     }
 
     #[test]

