@@ -25,30 +25,31 @@
 //!   partition refinement over it — the Myhill–Nerode classes of the
 //!   multi-class output function are exactly the notion's equivalence
 //!   classes, so the per-class representative scan disappears.
-//! * [`PairCache`] answers individual pair queries by a synchronized
+//! * [`PairCache::search`] is the one pair engine: a synchronized
 //!   union-find search over interned subset ids (the AHU scheme of
 //!   [`dfa_equiv`](ccs_partition::dfa_equiv), run on the lazily-built
-//!   arena), pruned *up to congruence*: a popped pair whose sides are
-//!   already merged is skipped, which subsumes the antichain pruning of the
-//!   De Wulf–Doyen line for this synchronized-pair shape (Bonchi & Pous).
-//!   Verdicts are memoized across queries — proven pairs merge into a
-//!   persistent congruence, refuted pairs (and every ancestor on the path
-//!   that exposed them) land in a refutation cache — so a session's later
-//!   queries early-exit on first contact with anything already decided.
+//!   arena), pruned *up to congruence*: a successor pair whose sides are
+//!   already merged is never queued, which subsumes the antichain pruning
+//!   of the De Wulf–Doyen line for this synchronized-pair shape (Bonchi &
+//!   Pous).  It returns the verdict and, on refutation, the distinguishing
+//!   chain ([`Refutation`]) that the [`onthefly`](crate::onthefly) witness
+//!   is read from.  Verdicts are memoized across queries — proven pairs
+//!   merge into a persistent congruence; refuted pairs, and every ancestor
+//!   on the path that exposed them, land in a refutation cache together
+//!   with their link toward the distinguishing pair — so a later search
+//!   stops on first contact with anything already decided and still
+//!   returns a complete chain: its own prefix plus the cached suffix.
 //!
 //! # Memory layout
 //!
-//! Subset ids are `u32` ([`SubsetId`]) and the arena stores member sets in
-//! one of two compact representations ([`SubsetRepr`]), chosen from the
-//! state count at construction: *dense* fixed-width bitsets (one `u64` word
-//! row per subset) when the ground set is small enough that a row beats a
-//! member list, or *sparse* sorted `u32` runs concatenated in one flat
-//! array behind a CSR offset table.  Interning hashes subsets by the XOR of
-//! their mixed members (a SplitMix64-based fingerprint) — order- and
-//! representation-independent — into a `u64 → id` table, so the member data
-//! is stored exactly once (the old layout duplicated every member list as a
-//! `HashMap` key).  Transitions, annotations, the refusal-antichain intern
-//! and the [`PairCache`] congruence all ride the same 32-bit ids.
+//! Subset ids are `u32` ([`SubsetId`]).  The arena stores each member set
+//! as a sorted `u32` run, all runs concatenated in one flat array behind a
+//! CSR offset table, so [`SubsetAutomaton::subset`] borrows a slice instead
+//! of allocating.  Interning hashes subsets by the XOR of their mixed
+//! members (a SplitMix64-based fingerprint) into a `u64 → id` table, so the
+//! member data is stored exactly once.  Transitions, annotations, the
+//! refusal-antichain intern and the [`PairCache`] congruence all ride the
+//! same 32-bit ids.
 //!
 //! The worst case is still exponential — as Theorem 4.1(b) demands — but
 //! the exponential work is paid **once per subset**, not once per pair.
@@ -99,194 +100,22 @@ impl DetNotion {
     }
 }
 
-/// How a [`SubsetAutomaton`] stores its member sets.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SubsetRepr {
-    /// Fixed-width bitsets: `⌈n/64⌉` `u64` words per subset.  Constant-size
-    /// rows, `O(1)` membership, and the densest choice once subsets average
-    /// more than a couple of words' worth of members — the regime of the
-    /// determinization blow-up families.
-    Dense,
-    /// Sorted `u32` member runs concatenated in one flat array behind a CSR
-    /// offset table.  Four bytes per member: the better choice when the
-    /// ground set is large but subsets stay small.
-    Sparse,
-}
-
-impl SubsetRepr {
-    /// Largest ground set for which the automatic choice picks
-    /// [`SubsetRepr::Dense`]: a bitset row is then at most 64 bytes, which
-    /// beats sparse runs as soon as subsets average ≥ 16 members — and
-    /// subset constructions over small ground sets are exactly the ones
-    /// whose subsets get fat.
-    pub const DENSE_MAX_STATES: usize = 512;
-
-    /// The representation used for a ground set of `num_states` states when
-    /// the caller does not force one.
-    #[must_use]
-    pub fn choose(num_states: usize) -> Self {
-        if num_states <= Self::DENSE_MAX_STATES {
-            SubsetRepr::Dense
-        } else {
-            SubsetRepr::Sparse
-        }
-    }
-}
-
-/// The member storage behind the arena — see [`SubsetRepr`].
-#[derive(Clone, Debug)]
-enum MemberStore {
-    Dense {
-        /// `u64` words per subset row (`⌈num_states/64⌉`).
-        words: usize,
-        bits: Vec<u64>,
-    },
-    Sparse {
-        offsets: Vec<u32>,
-        data: Vec<u32>,
-    },
-}
-
-impl MemberStore {
-    fn new(repr: SubsetRepr, num_states: usize) -> Self {
-        match repr {
-            SubsetRepr::Dense => MemberStore::Dense {
-                words: num_states.div_ceil(64),
-                bits: Vec::new(),
-            },
-            SubsetRepr::Sparse => MemberStore::Sparse {
-                offsets: vec![0],
-                data: Vec::new(),
-            },
-        }
-    }
-
-    /// Appends a subset (sorted, duplicate-free members) and returns nothing;
-    /// the caller assigns the next dense id.
-    fn push(&mut self, members: &[u32]) {
-        match self {
-            MemberStore::Dense { words, bits } => {
-                let base = bits.len();
-                bits.resize(base + *words, 0);
-                for &m in members {
-                    bits[base + (m as usize >> 6)] |= 1u64 << (m & 63);
-                }
-            }
-            MemberStore::Sparse { offsets, data } => {
-                data.extend_from_slice(members);
-                offsets.push(narrow(data.len()));
-            }
-        }
-    }
-
-    /// Number of members of a subset.
-    fn len(&self, id: SubsetId) -> usize {
-        match self {
-            MemberStore::Dense { words, bits } => bits[id as usize * *words..][..*words]
-                .iter()
-                .map(|w| w.count_ones() as usize)
-                .sum(),
-            MemberStore::Sparse { offsets, .. } => {
-                (offsets[id as usize + 1] - offsets[id as usize]) as usize
-            }
-        }
-    }
-
-    /// Whether the stored subset equals `members` (sorted, duplicate-free).
-    fn matches(&self, id: SubsetId, members: &[u32]) -> bool {
-        match self {
-            MemberStore::Dense { words, bits } => {
-                let row = &bits[id as usize * *words..][..*words];
-                row.iter().map(|w| w.count_ones() as usize).sum::<usize>() == members.len()
-                    && members
-                        .iter()
-                        .all(|&m| row[m as usize >> 6] & (1u64 << (m & 63)) != 0)
-            }
-            MemberStore::Sparse { offsets, data } => {
-                &data[offsets[id as usize] as usize..offsets[id as usize + 1] as usize] == members
-            }
-        }
-    }
-
-    /// Iterates the members of a subset in ascending order.
-    fn iter(&self, id: SubsetId) -> MemberIter<'_> {
-        match self {
-            MemberStore::Dense { words, bits } => MemberIter::Dense {
-                row: &bits[id as usize * *words..][..*words],
-                word: 0,
-                current: 0,
-            },
-            MemberStore::Sparse { offsets, data } => MemberIter::Sparse(
-                data[offsets[id as usize] as usize..offsets[id as usize + 1] as usize].iter(),
-            ),
-        }
-    }
-
-    /// The materialized sorted member list of a subset.
-    fn collect(&self, id: SubsetId) -> Vec<u32> {
-        self.iter(id).collect()
-    }
-
-    /// Heap bytes held by the store, from live container capacities.
-    fn resident_bytes(&self) -> usize {
-        use std::mem::size_of;
-        match self {
-            MemberStore::Dense { bits, .. } => bits.capacity() * size_of::<u64>(),
-            MemberStore::Sparse { offsets, data } => {
-                (offsets.capacity() + data.capacity()) * size_of::<u32>()
-            }
-        }
-    }
-}
-
-/// Ascending member iterator over either representation.
-enum MemberIter<'a> {
-    Dense {
-        row: &'a [u64],
-        /// Index of the next word to load.
-        word: usize,
-        /// Remaining bits of the last loaded word.
-        current: u64,
-    },
-    Sparse(std::slice::Iter<'a, u32>),
-}
-
-impl Iterator for MemberIter<'_> {
-    type Item = u32;
-
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            MemberIter::Dense { row, word, current } => {
-                while *current == 0 {
-                    if *word >= row.len() {
-                        return None;
-                    }
-                    *current = row[*word];
-                    *word += 1;
-                }
-                let bit = current.trailing_zeros();
-                *current &= *current - 1;
-                Some(narrow((*word - 1) * 64) + bit)
-            }
-            MemberIter::Sparse(it) => it.next().copied(),
-        }
-    }
-}
-
 /// A memoized, interned subset automaton over one process.
 ///
-/// Subsets are sorted, duplicate-free, ε-closed member sets stored compactly
-/// (see [`SubsetRepr`]) and interned once via an order-independent
-/// fingerprint; transitions are computed lazily against a caller-provided
-/// [`SaturatedView`] and cached forever.  Id [`SubsetAutomaton::DEAD`] is
-/// the empty subset, which makes the (explored part of the) automaton a
-/// *complete* DFA — the shape the partition core's [`Dfa`] wants.
+/// Subsets are sorted, duplicate-free, ε-closed member sets stored as `u32`
+/// runs behind a CSR offset table and interned once via an
+/// order-independent fingerprint; transitions are computed lazily against a
+/// caller-provided [`SaturatedView`] and cached forever.  Id
+/// [`SubsetAutomaton::DEAD`] is the empty subset, which makes the (explored
+/// part of the) automaton a *complete* DFA — the shape the partition core's
+/// [`Dfa`] wants.
 #[derive(Clone, Debug)]
 pub struct SubsetAutomaton {
     num_actions: usize,
-    repr: SubsetRepr,
-    store: MemberStore,
-    num_subsets: u32,
+    /// Per-subset sorted members: state indices concatenated behind a CSR
+    /// offset table (`member_offsets[id]..member_offsets[id + 1]`).
+    member_offsets: Vec<u32>,
+    member_data: Vec<u32>,
     /// Fingerprint → interned id.  Distinct subsets with colliding
     /// fingerprints overflow into `intern_spill` (vanishingly rare).
     intern: HashMap<u64, SubsetId>,
@@ -322,27 +151,16 @@ impl SubsetAutomaton {
     /// The empty subset — the dead state of the complete DFA.
     pub const DEAD: SubsetId = 0;
 
-    /// Creates an empty automaton for `fsp` with the representation
-    /// [`SubsetRepr::choose`] picks for its state count, capturing the
-    /// acceptance flags (the only fact the annotations need from the process
-    /// itself; all transition structure comes from the [`SaturatedView`]
-    /// passed to each exploring call, which must be the view of the same
-    /// process).
+    /// Creates an empty automaton for `fsp`, capturing the acceptance flags
+    /// (the only fact the annotations need from the process itself; all
+    /// transition structure comes from the [`SaturatedView`] passed to each
+    /// exploring call, which must be the view of the same process).
     #[must_use]
     pub fn new(fsp: &Fsp) -> Self {
-        Self::with_repr(fsp, SubsetRepr::choose(fsp.num_states()))
-    }
-
-    /// Like [`SubsetAutomaton::new`] with an explicit member representation
-    /// — both produce identical ids, transitions and classes (the property
-    /// suite asserts it); only the byte layout differs.
-    #[must_use]
-    pub fn with_repr(fsp: &Fsp, repr: SubsetRepr) -> Self {
         let mut auto = SubsetAutomaton {
             num_actions: fsp.num_actions(),
-            repr,
-            store: MemberStore::new(repr, fsp.num_states()),
-            num_subsets: 0,
+            member_offsets: vec![0],
+            member_data: Vec::new(),
             intern: HashMap::new(),
             intern_spill: Vec::new(),
             delta: Vec::new(),
@@ -366,16 +184,10 @@ impl SubsetAutomaton {
         auto
     }
 
-    /// The member representation this arena stores subsets in.
-    #[must_use]
-    pub fn repr(&self) -> SubsetRepr {
-        self.repr
-    }
-
     /// Number of interned subsets (the arena size).
     #[must_use]
     pub fn num_subsets(&self) -> usize {
-        self.num_subsets as usize
+        self.member_offsets.len() - 1
     }
 
     /// Number of observable actions (the DFA label alphabet).
@@ -390,7 +202,7 @@ impl SubsetAutomaton {
         self.steps_computed
     }
 
-    /// Heap bytes held by the arena — member store, fingerprint intern,
+    /// Heap bytes held by the arena — member runs, fingerprint intern,
     /// transition table and annotations — measured from live container
     /// capacities.
     #[must_use]
@@ -401,7 +213,7 @@ impl SubsetAutomaton {
             .keys()
             .map(|k| k.capacity() * size_of::<u32>())
             .sum();
-        self.store.resident_bytes()
+        (self.member_offsets.capacity() + self.member_data.capacity()) * size_of::<u32>()
             + self.intern.capacity() * (size_of::<(u64, SubsetId)>() + 1)
             + self.intern_spill.capacity() * size_of::<(u64, SubsetId)>()
             + self.delta.capacity() * size_of::<u32>()
@@ -414,16 +226,11 @@ impl SubsetAutomaton {
             + self.state_accepting.capacity()
     }
 
-    /// The materialized sorted member list of a subset (state indices).
+    /// The sorted members of a subset (state indices).
     #[must_use]
-    pub fn subset(&self, id: SubsetId) -> Vec<u32> {
-        self.store.collect(id)
-    }
-
-    /// Number of members of a subset, without materializing it.
-    #[must_use]
-    pub fn subset_len(&self, id: SubsetId) -> usize {
-        self.store.len(id)
+    pub fn subset(&self, id: SubsetId) -> &[u32] {
+        &self.member_data[self.member_offsets[id as usize] as usize
+            ..self.member_offsets[id as usize + 1] as usize]
     }
 
     /// Whether the subset contains an accepting state.
@@ -444,21 +251,21 @@ impl SubsetAutomaton {
     /// Finds an already-interned subset by fingerprint + member comparison.
     fn lookup(&self, fp: u64, members: &[u32]) -> Option<SubsetId> {
         let &id = self.intern.get(&fp)?;
-        if self.store.matches(id, members) {
+        if self.subset(id) == members {
             return Some(id);
         }
         self.intern_spill
             .iter()
-            .find(|&&(f, sid)| f == fp && self.store.matches(sid, members))
+            .find(|&&(f, sid)| f == fp && self.subset(sid) == members)
             .map(|&(_, sid)| sid)
     }
 
     /// Interns a subset known to be absent, with its annotations.
     fn intern_new(&mut self, fp: u64, members: &[u32], enabled: &[u32]) -> SubsetId {
-        let id = self.num_subsets;
+        let id = narrow(self.num_subsets());
         assert!(id < UNEXPLORED, "subset arena exceeds the 32-bit id range");
-        self.num_subsets += 1;
-        self.store.push(members);
+        self.member_data.extend_from_slice(members);
+        self.member_offsets.push(narrow(self.member_data.len()));
         self.accepting
             .push(members.iter().any(|&s| self.state_accepting[s as usize]));
         self.enabled_data.extend_from_slice(enabled);
@@ -534,7 +341,7 @@ impl SubsetAutomaton {
             Self::DEAD
         } else {
             let mut members: Vec<u32> = Vec::new();
-            for x in self.store.iter(id) {
+            for &x in self.subset(id) {
                 members.extend(
                     view.successors(StateId::from_index(x as usize), action)
                         .iter()
@@ -558,8 +365,7 @@ impl SubsetAutomaton {
         if self.refusal_class[id as usize] != REFUSAL_UNSET {
             return self.refusal_class[id as usize];
         }
-        let members = self.store.collect(id);
-        let antichain = maximal_refusals(view, &members);
+        let antichain = maximal_refusals(view, self.subset(id));
         // Length-prefixed flattening is injective over sorted member lists.
         let mut key: Vec<u32> =
             Vec::with_capacity(antichain.len() + antichain.iter().map(Vec::len).sum::<usize>());
@@ -610,10 +416,10 @@ impl SubsetAutomaton {
     pub fn classes(&mut self, view: &SaturatedView, notion: DetNotion) -> Vec<u32> {
         match notion {
             DetNotion::Language => self.accepting.iter().map(|&a| u32::from(a)).collect(),
-            DetNotion::Trace => (0..self.num_subsets)
+            DetNotion::Trace => (0..narrow(self.num_subsets()))
                 .map(|id| u32::from(id != Self::DEAD))
                 .collect(),
-            DetNotion::Failure => (0..self.num_subsets)
+            DetNotion::Failure => (0..narrow(self.num_subsets()))
                 .map(|id| {
                     if id == Self::DEAD {
                         0
@@ -640,12 +446,12 @@ impl SubsetAutomaton {
         let mut intern: HashMap<Vec<u32>, u32> = HashMap::new();
         let mut out = Vec::with_capacity(self.num_subsets());
         let mut scratch: Vec<u32> = Vec::new();
-        for id in 0..self.num_subsets {
+        for id in 0..narrow(self.num_subsets()) {
             scratch.clear();
             scratch.extend(
-                self.store
-                    .iter(id)
-                    .map(|m| narrow(prev.block_of(m as usize))),
+                self.subset(id)
+                    .iter()
+                    .map(|&m| narrow(prev.block_of(m as usize))),
             );
             scratch.sort_unstable();
             scratch.dedup();
@@ -663,9 +469,8 @@ impl SubsetAutomaton {
     }
 
     /// Whether two subsets are immediately distinguished by the notion's
-    /// output class (the zero-step test of the synchronized search — also
-    /// the stopping test of the [`onthefly`](crate::onthefly) engine).
-    pub(crate) fn classes_differ(
+    /// output class — the zero-step test of [`PairCache::search`].
+    fn classes_differ(
         &mut self,
         view: &SaturatedView,
         notion: DetNotion,
@@ -719,25 +524,55 @@ pub fn determinized_partition(
     Partition::from_assignment(&assignment)
 }
 
+/// A canonically ordered subset pair: the smaller id first.
+type Pair = (SubsetId, SubsetId);
+
+fn canon(a: SubsetId, b: SubsetId) -> Pair {
+    (a.min(b), a.max(b))
+}
+
+/// Where a refuting [`PairCache::search`] stopped: the BFS prefix from the
+/// queried pair to a refuted pair whose distinguishing suffix the cache
+/// holds.  [`PairCache::chain`] completes it; a verdict-only caller never
+/// pays for the suffix walk.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Refutation {
+    /// The observable actions from the queried pair to `refuted`.
+    pub prefix: Vec<ActionId>,
+    /// The refuted pair the search stopped at, canonically ordered.
+    pub refuted: (SubsetId, SubsetId),
+}
+
+/// What one [`PairCache::search`] found.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct PairSearch {
+    /// `None` if the pair is equivalent, where the search stopped otherwise.
+    pub refutation: Option<Refutation>,
+    /// Product pairs dequeued; `0` when the cache answered without a search.
+    pub pairs_visited: usize,
+}
+
 /// A per-notion memo of decided subset pairs: proven pairs merge into a
-/// persistent union-find congruence, refuted pairs are cached with every
-/// ancestor pair on the path that exposed them.
+/// persistent union-find congruence; refuted pairs are cached with every
+/// ancestor pair on the path that exposed them, each with its link toward
+/// the distinguishing pair.
 ///
 /// One cache serves every pair query of a session against one notion; the
 /// arena ids it stores are those of the session's shared
-/// [`SubsetAutomaton`] — compact `u32`s throughout, halving both the
-/// congruence array and the refutation set against the old `usize` layout —
-/// so the cache must never be reused across automata.
+/// [`SubsetAutomaton`], so the cache must never be reused across automata.
 #[derive(Clone, Debug, Default)]
 pub struct PairCache {
     /// Parent array of the proven-equivalent congruence (grows with the
     /// arena; a root points to itself).
     proven: Vec<u32>,
-    /// Canonically-ordered refuted pairs.
-    refuted: std::collections::HashSet<(SubsetId, SubsetId)>,
+    /// Refuted pair → the action and next refuted pair of its chain, or
+    /// `None` for a leaf whose classes already differ.  Entries are inserted
+    /// leaf-first and never overwritten, so every link points to an older
+    /// entry and the chains are acyclic.
+    refuted: HashMap<Pair, Option<(ActionId, Pair)>>,
 }
 
-pub(crate) fn find(parent: &mut [u32], mut x: u32) -> u32 {
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
     while parent[x as usize] != x {
         parent[x as usize] = parent[parent[x as usize] as usize]; // path halving
         x = parent[x as usize];
@@ -746,17 +581,13 @@ pub(crate) fn find(parent: &mut [u32], mut x: u32) -> u32 {
 }
 
 /// Unions two ids; returns `false` if they were already merged.
-pub(crate) fn union(parent: &mut [u32], a: u32, b: u32) -> bool {
+fn union(parent: &mut [u32], a: u32, b: u32) -> bool {
     let (ra, rb) = (find(parent, a), find(parent, b));
     if ra == rb {
         return false;
     }
     parent[ra.max(rb) as usize] = ra.min(rb);
     true
-}
-
-fn canon(a: SubsetId, b: SubsetId) -> (SubsetId, SubsetId) {
-    (a.min(b), a.max(b))
 }
 
 impl PairCache {
@@ -772,21 +603,13 @@ impl PairCache {
         self.refuted.len()
     }
 
-    /// Heap bytes held by the cache (congruence array plus refutation set),
+    /// Heap bytes held by the cache (congruence array plus refutation map),
     /// measured from live container capacities.
     #[must_use]
     pub fn resident_bytes(&self) -> usize {
         use std::mem::size_of;
         self.proven.capacity() * size_of::<u32>()
-            + self.refuted.capacity() * (size_of::<(SubsetId, SubsetId)>() + 1)
-    }
-
-    /// Whether the pair is already in the committed proven congruence — the
-    /// `O(α)` early-exit of [`PairCache::equivalent`] (diagnostic).
-    pub fn is_proven(&mut self, a: SubsetId, b: SubsetId) -> bool {
-        let needed = a.max(b) as usize + 1;
-        Self::grow(&mut self.proven, needed);
-        find(&mut self.proven, a) == find(&mut self.proven, b)
+            + self.refuted.capacity() * (size_of::<(Pair, Option<(ActionId, Pair)>)>() + 1)
     }
 
     fn grow(parent: &mut Vec<u32>, n: usize) {
@@ -796,28 +619,39 @@ impl PairCache {
     }
 
     /// Decides whether two subset states are `notion`-equivalent by a
-    /// synchronized union-find search over the shared arena, pruned up to
-    /// the congruence of everything proven so far and early-exiting on any
-    /// pair already refuted.
+    /// synchronized union-find BFS over the shared arena, pruned up to the
+    /// congruence of everything proven so far and stopping at the first
+    /// popped pair whose classes differ or that is already refuted.
     ///
-    /// On success the whole search's congruence is committed to the cache;
-    /// on failure the distinguishing pair *and every ancestor on its
-    /// provenance chain* (each inequivalent by the same suffix) are added to
-    /// the refutation cache, and the speculative merges are discarded.
-    pub fn equivalent(
+    /// On success the whole search's congruence is committed to the cache.
+    /// On refutation the distinguishing pair *and every ancestor on its
+    /// provenance chain* (each inequivalent by the same suffix) enter the
+    /// refutation cache with their links, the speculative merges are
+    /// discarded, and the returned [`Refutation`] is the BFS prefix to the
+    /// refuted pair the search stopped at.
+    pub fn search(
         &mut self,
         auto: &mut SubsetAutomaton,
         view: &SaturatedView,
         notion: DetNotion,
         left: SubsetId,
         right: SubsetId,
-    ) -> bool {
+    ) -> PairSearch {
         Self::grow(&mut self.proven, auto.num_subsets());
         if find(&mut self.proven, left) == find(&mut self.proven, right) {
-            return true;
+            return PairSearch {
+                refutation: None,
+                pairs_visited: 0,
+            };
         }
-        if self.refuted.contains(&canon(left, right)) {
-            return false;
+        if self.refuted.contains_key(&canon(left, right)) {
+            return PairSearch {
+                refutation: Some(Refutation {
+                    prefix: Vec::new(),
+                    refuted: canon(left, right),
+                }),
+                pairs_visited: 0,
+            };
         }
         // Speculative congruence: the persistent one plus this search's
         // merges; committed only if no distinguishing pair turns up.  The
@@ -826,18 +660,35 @@ impl PairCache {
         let mut uf = self.proven.clone();
         union(&mut uf, left, right);
         let mut pairs: Vec<(SubsetId, SubsetId)> = vec![(left, right)];
-        let mut provenance: Vec<Option<usize>> = vec![None];
+        let mut provenance: Vec<Option<(usize, ActionId)>> = vec![None];
         let mut head = 0;
         while head < pairs.len() {
             let (x, y) = pairs[head];
-            if auto.classes_differ(view, notion, x, y) || self.refuted.contains(&canon(x, y)) {
-                // Every ancestor is distinguished by the same suffix.
-                let mut cursor = Some(head);
-                while let Some(i) = cursor {
-                    self.refuted.insert(canon(pairs[i].0, pairs[i].1));
-                    cursor = provenance[i];
+            let key = canon(x, y);
+            if auto.classes_differ(view, notion, x, y) {
+                self.refuted.entry(key).or_insert(None);
+            }
+            if self.refuted.contains_key(&key) {
+                // Every ancestor is distinguished by the same suffix: link
+                // each one to its child, child first.
+                let mut prefix = Vec::new();
+                let (mut child, mut child_key) = (head, key);
+                while let Some((parent, action)) = provenance[child] {
+                    let parent_key = canon(pairs[parent].0, pairs[parent].1);
+                    self.refuted
+                        .entry(parent_key)
+                        .or_insert(Some((action, child_key)));
+                    prefix.push(action);
+                    (child, child_key) = (parent, parent_key);
                 }
-                return false;
+                prefix.reverse();
+                return PairSearch {
+                    refutation: Some(Refutation {
+                        prefix,
+                        refuted: key,
+                    }),
+                    pairs_visited: head + 1,
+                };
             }
             for a in 0..auto.num_actions() {
                 let action = ActionId::from_index(a);
@@ -846,38 +697,33 @@ impl PairCache {
                 Self::grow(&mut uf, auto.num_subsets());
                 if union(&mut uf, nx, ny) {
                     pairs.push((nx, ny));
-                    provenance.push(Some(head));
+                    provenance.push(Some((head, action)));
                 }
             }
             head += 1;
         }
         self.proven = uf;
-        true
+        PairSearch {
+            refutation: None,
+            pairs_visited: head,
+        }
     }
 
-    // --- hooks for the on-the-fly engine (crate::onthefly) ----------------
-    //
-    // The witness-producing search clones the committed congruence, prunes
-    // against it speculatively exactly like `equivalent`, and feeds its
-    // outcome back through these: the cache stays the single source of
-    // session-level pair knowledge whichever engine ran the search.
-
-    /// A speculative copy of the proven congruence, grown to `n` ids.
-    pub(crate) fn speculative(&mut self, n: usize) -> Vec<u32> {
-        Self::grow(&mut self.proven, n);
-        self.proven.clone()
-    }
-
-    /// Commits a speculative congruence produced by a successful search.
-    pub(crate) fn commit(&mut self, uf: Vec<u32>) {
-        debug_assert!(uf.len() >= self.proven.len());
-        self.proven = uf;
-    }
-
-    /// Memoizes a refuted pair (the on-the-fly engine records the whole
-    /// provenance chain of a witness, one call per ancestor).
-    pub(crate) fn record_refuted(&mut self, a: SubsetId, b: SubsetId) {
-        self.refuted.insert(canon(a, b));
+    /// The distinguishing chain of a refutation this cache returned: the
+    /// search prefix followed by the cached suffix, and the canonically
+    /// ordered leaf pair the whole word reaches — a pair whose output
+    /// classes differ.
+    #[must_use]
+    pub fn chain(&self, refutation: Refutation) -> (Vec<ActionId>, (SubsetId, SubsetId)) {
+        let Refutation {
+            prefix: mut word,
+            refuted: mut at,
+        } = refutation;
+        while let Some((action, next)) = self.refuted[&at] {
+            word.push(action);
+            at = next;
+        }
+        (word, at)
     }
 }
 
@@ -899,7 +745,6 @@ mod tests {
         let (mut auto, view) = arena(&f);
         assert_eq!(auto.num_subsets(), 1);
         assert!(auto.subset(SubsetAutomaton::DEAD).is_empty());
-        assert_eq!(auto.subset_len(SubsetAutomaton::DEAD), 0);
         assert!(!auto.is_accepting(SubsetAutomaton::DEAD));
         let a = f.action_id("a").unwrap();
         assert_eq!(
@@ -915,7 +760,6 @@ mod tests {
         let p = f.state_by_name("p").unwrap();
         let sp = auto.start(&view, p);
         assert_eq!(auto.subset(sp).len(), 2); // {p, q}
-        assert_eq!(auto.subset_len(sp), 2);
         assert_eq!(auto.start(&view, p), sp);
         let a = f.action_id("a").unwrap();
         let after = auto.step(&view, sp, a);
@@ -993,20 +837,29 @@ mod tests {
         for &a in &states {
             for &b in &states {
                 let (sa, sb) = (auto.start(&view, a), auto.start(&view, b));
-                let got = cache.equivalent(&mut auto, &view, DetNotion::Language, sa, sb);
+                let first = cache.search(&mut auto, &view, DetNotion::Language, sa, sb);
                 let want = crate::language::language_equivalent_states(&f, a, b).holds;
-                assert_eq!(got, want, "{a} vs {b}");
-                // Positive verdicts land in the committed congruence (the
-                // root pair is merged, not just its successors), so repeats
-                // and the symmetric query take the early exit.
-                if want {
-                    assert!(cache.is_proven(sa, sb), "{a} ≡ {b} not memoized");
+                assert_eq!(first.refutation.is_none(), want, "{a} vs {b}");
+                // A refutation's word leads the pair to its leaf, whose
+                // classes differ.
+                if let Some(refutation) = &first.refutation {
+                    let (word, leaf) = cache.chain(refutation.clone());
+                    let (mut x, mut y) = (sa, sb);
+                    for &action in &word {
+                        (x, y) = (auto.step(&view, x, action), auto.step(&view, y, action));
+                    }
+                    assert_eq!(canon(x, y), leaf, "{a} vs {b}");
+                    assert!(auto.classes_differ(&view, DetNotion::Language, x, y));
                 }
-                // Memoized verdicts are stable.
-                assert_eq!(
-                    cache.equivalent(&mut auto, &view, DetNotion::Language, sa, sb),
-                    want
-                );
+                // Both verdicts are memoized (the root pair itself is merged
+                // or recorded): the repeat and the symmetric query answer
+                // from the cache, a refutation with the same chain.
+                let first_chain = first.refutation.map(|r| cache.chain(r));
+                for (x, y) in [(sa, sb), (sb, sa)] {
+                    let again = cache.search(&mut auto, &view, DetNotion::Language, x, y);
+                    assert_eq!(again.pairs_visited, 0, "{a} vs {b} not memoized");
+                    assert_eq!(again.refutation.map(|r| cache.chain(r)), first_chain);
+                }
             }
         }
         assert!(cache.refuted_pairs() > 0);
@@ -1049,61 +902,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// The tentpole invariant of the representation split: dense-bitset and
-    /// sparse-run arenas intern identical ids in identical order, compute
-    /// identical transition tables, and classify identically — only the
-    /// byte layout differs.
-    #[test]
-    fn dense_and_sparse_reprs_build_identical_arenas() {
-        let f = format::parse(
-            "trans p tau q\ntrans q a r\ntrans r tau p\ntrans s a t\ntrans s tau s\n\
-             trans t b p\ntrans q b s\naccept r t",
-        )
-        .unwrap();
-        let closure = tau_closure(&f);
-        let view = SaturatedView::build(&f, &closure);
-        let mut dense = SubsetAutomaton::with_repr(&f, SubsetRepr::Dense);
-        let mut sparse = SubsetAutomaton::with_repr(&f, SubsetRepr::Sparse);
-        assert_eq!(dense.repr(), SubsetRepr::Dense);
-        assert_eq!(sparse.repr(), SubsetRepr::Sparse);
-        for s in f.state_ids() {
-            assert_eq!(dense.start(&view, s), sparse.start(&view, s), "{s}");
-        }
-        dense.explore(&view);
-        sparse.explore(&view);
-        assert_eq!(dense.num_subsets(), sparse.num_subsets());
-        assert_eq!(dense.transition_table(), sparse.transition_table());
-        for id in 0..narrow(dense.num_subsets()) {
-            assert_eq!(dense.subset(id), sparse.subset(id), "subset {id}");
-            assert_eq!(dense.enabled(id), sparse.enabled(id), "enabled {id}");
-            assert_eq!(dense.is_accepting(id), sparse.is_accepting(id));
-        }
-        for notion in [DetNotion::Language, DetNotion::Trace, DetNotion::Failure] {
-            assert_eq!(
-                dense.classes(&view, notion),
-                sparse.classes(&view, notion),
-                "{notion:?}"
-            );
-        }
-        // Sparse stores this small arena in fewer bytes than its old
-        // usize-list self would have; both stay honest about their footprint.
-        assert!(dense.resident_bytes() > 0);
-        assert!(sparse.resident_bytes() > 0);
-    }
-
-    #[test]
-    fn automatic_repr_choice_follows_the_ground_set() {
-        assert_eq!(SubsetRepr::choose(1), SubsetRepr::Dense);
-        assert_eq!(
-            SubsetRepr::choose(SubsetRepr::DENSE_MAX_STATES),
-            SubsetRepr::Dense
-        );
-        assert_eq!(
-            SubsetRepr::choose(SubsetRepr::DENSE_MAX_STATES + 1),
-            SubsetRepr::Sparse
-        );
     }
 
     #[test]

@@ -1,29 +1,31 @@
 //! On-the-fly equivalence: decide a pair, build only what the search
 //! touches, stop at the first distinguishing witness.
 //!
-//! Every other checker in this crate *materializes before it refines*: the
-//! full subset arena (or the full weak instance) is built, then a partition
-//! solver classifies everything.  That is the right shape for whole-space
-//! classification, but for a single pair question — "is the composed
-//! protocol equivalent to its specification?" — it does asymptotically too
-//! much work whenever the answer is reachable long before the product space
-//! is exhausted.  This module is the paper's "decide equivalence, don't
-//! build everything" reading of the PSPACE notions: a BFS worklist over the
-//! *synchronized product* of two determinized state spaces that
+//! Whole-space classification *materializes before it refines*: the full
+//! subset arena (or the full weak instance) is built, then a partition
+//! solver classifies everything.  For a single pair question — "is the
+//! composed protocol equivalent to its specification?" — that does
+//! asymptotically too much work whenever the answer is reachable long
+//! before the product space is exhausted.  This module is the paper's
+//! "decide equivalence, don't build everything" reading of the PSPACE
+//! notions.  [`EquivSession::on_the_fly`] runs the session's one pair
+//! engine, [`PairCache::search`](crate::determinize::PairCache::search): a
+//! BFS over the *synchronized product* of two determinized state spaces
+//! that
 //!
 //! * expands subsets lazily through the session's shared
-//!   [`SubsetAutomaton`] (the `determinize` machinery — every transition it
-//!   computes is memoized in the arena and reused by later queries, on-the-
-//!   fly or not),
-//! * prunes pairs up to the congruence of everything the session's
-//!   [`PairCache`] has already proven (Hopcroft–Karp union-find, the same
-//!   core as [`PairCache::equivalent`]),
-//! * stops at the **first** pair whose zero-step output classes differ,
-//!   reconstructs the distinguishing trace from its BFS provenance chain,
-//!   and
+//!   [`SubsetAutomaton`] (every transition it computes is memoized in the
+//!   arena and reused by later queries of any kind),
+//! * prunes pairs up to the congruence of everything the session has
+//!   already proven (Hopcroft–Karp union-find),
+//! * stops at the **first** pair whose zero-step output classes differ, or
+//!   that an earlier search already refuted, and returns the distinguishing
+//!   chain: the BFS prefix plus the cached suffix, and
 //! * feeds the outcome back: a successful search commits its congruence, a
-//!   refutation records every ancestor pair on the witness path — partial
-//!   work is never wasted.
+//!   refutation records every ancestor pair on the chain with its link —
+//!   partial work is never wasted.
+//!
+//! This module turns the chain into a replayable [`OtfWitness`].
 //!
 //! The engine covers exactly the determinizable notions
 //! ([`DetNotion::of`]): language `≈₁`, trace, and failure `≡F` equivalence.
@@ -60,10 +62,9 @@
 //! ```
 
 use ccs_fsp::saturate::SaturatedView;
-use ccs_fsp::{ops, ActionId, Fsp, StateId};
+use ccs_fsp::{ops, Fsp, StateId};
 
-use crate::compact::narrow;
-use crate::determinize::{union, DetNotion, PairCache, SubsetAutomaton, SubsetId};
+use crate::determinize::{DetNotion, PairCache, PairSearch, SubsetAutomaton};
 use crate::failures::{distinguishing_refusal, maximal_refusals, name_set};
 use crate::{EquivError, EquivSession, Equivalence};
 
@@ -103,8 +104,8 @@ pub struct OtfStats {
     /// Lazy determinized transitions this search computed (memoized steps
     /// reused from earlier queries are free and not counted).
     pub steps_computed: usize,
-    /// Whether the verdict came straight from the session's committed
-    /// proven-congruence without any search.
+    /// Whether the verdict came straight from the session's pair cache —
+    /// the proven congruence or the refutation cache — without any search.
     pub cache_hit: bool,
 }
 
@@ -120,140 +121,54 @@ pub struct OtfOutcome {
     pub stats: OtfStats,
 }
 
-/// Grows a speculative parent array to cover `n` ids.
-fn grow(parent: &mut Vec<u32>, n: usize) {
-    while parent.len() < n {
-        parent.push(narrow(parent.len()));
-    }
-}
-
-/// The BFS worklist search over the synchronized subset product.
-///
-/// Invariants: `left`/`right` are interned start subsets of `auto`; `cache`
-/// belongs to the same arena and notion.  On refutation the returned
-/// witness's provenance chain has been recorded into `cache`; on success
-/// the speculative congruence has been committed.
-pub(crate) fn search(
+/// Turns the result of a pair search into an outcome: on refutation the
+/// distinguishing chain is completed from `cache`, its word is named and,
+/// for failures, completed with a refusal set read off the chain's leaf.
+/// `steps_before` is the arena's step count when the search started.
+pub(crate) fn outcome(
     fsp: &Fsp,
-    auto: &mut SubsetAutomaton,
+    auto: &SubsetAutomaton,
     view: &SaturatedView,
-    cache: &mut PairCache,
+    cache: &PairCache,
     notion: DetNotion,
-    left: SubsetId,
-    right: SubsetId,
+    search: PairSearch,
+    steps_before: usize,
 ) -> OtfOutcome {
-    if cache.is_proven(left, right) {
-        return OtfOutcome {
-            equivalent: true,
-            witness: None,
-            stats: OtfStats {
-                pairs_visited: 0,
-                arena_subsets: auto.num_subsets(),
-                steps_computed: 0,
-                cache_hit: true,
-            },
+    let witness = search.refutation.map(|refutation| {
+        let (word, (x, y)) = cache.chain(refutation);
+        let trace = word
+            .iter()
+            .map(|&a| fsp.action_name(a).to_owned())
+            .collect();
+        let refusal = match notion {
+            DetNotion::Language | DetNotion::Trace => None,
+            DetNotion::Failure => {
+                if (x == SubsetAutomaton::DEAD) != (y == SubsetAutomaton::DEAD) {
+                    // The trace itself is one-sided: (trace, ∅) is a failure
+                    // of the side that has it and of nothing on the other.
+                    Some(Vec::new())
+                } else {
+                    let rx = maximal_refusals(view, auto.subset(x));
+                    let ry = maximal_refusals(view, auto.subset(y));
+                    let set = distinguishing_refusal(&rx, &ry)
+                        .or_else(|| distinguishing_refusal(&ry, &rx))
+                        .unwrap_or_default();
+                    Some(name_set(fsp, &set))
+                }
+            }
         };
-    }
-    let steps_before = auto.steps_computed();
-    // Speculative congruence: the committed one plus this search's merges.
-    // Refuted pairs are deliberately NOT used as an early exit here — a
-    // cached refutation carries no concrete suffix, and the arena is
-    // finite, so continuing the BFS always reaches a zero-step class
-    // difference and yields a replayable witness.
-    let mut uf = cache.speculative(auto.num_subsets());
-    union(&mut uf, left, right);
-    let mut pairs: Vec<(SubsetId, SubsetId)> = vec![(left, right)];
-    let mut provenance: Vec<Option<(usize, ActionId)>> = vec![None];
-    let mut head = 0;
-    while head < pairs.len() {
-        let (x, y) = pairs[head];
-        if auto.classes_differ(view, notion, x, y) {
-            // Feed the refutation back: every ancestor on the provenance
-            // chain is inequivalent by the same suffix.
-            let mut cursor = Some(head);
-            while let Some(i) = cursor {
-                cache.record_refuted(pairs[i].0, pairs[i].1);
-                cursor = provenance[i].map(|(parent, _)| parent);
-            }
-            let witness = build_witness(fsp, auto, view, notion, &pairs, &provenance, head);
-            return OtfOutcome {
-                equivalent: false,
-                witness: Some(witness),
-                stats: OtfStats {
-                    pairs_visited: head + 1,
-                    arena_subsets: auto.num_subsets(),
-                    steps_computed: auto.steps_computed() - steps_before,
-                    cache_hit: false,
-                },
-            };
-        }
-        for a in 0..auto.num_actions() {
-            let action = ActionId::from_index(a);
-            let nx = auto.step(view, x, action);
-            let ny = auto.step(view, y, action);
-            grow(&mut uf, auto.num_subsets());
-            if union(&mut uf, nx, ny) {
-                pairs.push((nx, ny));
-                provenance.push(Some((head, action)));
-            }
-        }
-        head += 1;
-    }
-    let stats = OtfStats {
-        pairs_visited: head,
-        arena_subsets: auto.num_subsets(),
-        steps_computed: auto.steps_computed() - steps_before,
-        cache_hit: false,
-    };
-    cache.commit(uf);
+        OtfWitness { trace, refusal }
+    });
     OtfOutcome {
-        equivalent: true,
-        witness: None,
-        stats,
+        equivalent: witness.is_none(),
+        witness,
+        stats: OtfStats {
+            pairs_visited: search.pairs_visited,
+            arena_subsets: auto.num_subsets(),
+            steps_computed: auto.steps_computed() - steps_before,
+            cache_hit: search.pairs_visited == 0,
+        },
     }
-}
-
-/// Reconstructs the distinguishing witness for the pair at `idx` from the
-/// BFS provenance chain.
-fn build_witness(
-    fsp: &Fsp,
-    auto: &mut SubsetAutomaton,
-    view: &SaturatedView,
-    notion: DetNotion,
-    pairs: &[(SubsetId, SubsetId)],
-    provenance: &[Option<(usize, ActionId)>],
-    idx: usize,
-) -> OtfWitness {
-    let mut word: Vec<ActionId> = Vec::new();
-    let mut cursor = idx;
-    while let Some((parent, action)) = provenance[cursor] {
-        word.push(action);
-        cursor = parent;
-    }
-    word.reverse();
-    let trace: Vec<String> = word
-        .iter()
-        .map(|&a| fsp.action_name(a).to_owned())
-        .collect();
-    let (x, y) = pairs[idx];
-    let refusal = match notion {
-        DetNotion::Language | DetNotion::Trace => None,
-        DetNotion::Failure => {
-            if (x == SubsetAutomaton::DEAD) != (y == SubsetAutomaton::DEAD) {
-                // The trace itself is one-sided: (trace, ∅) is a failure of
-                // the side that has it and of nothing on the other.
-                Some(Vec::new())
-            } else {
-                let rx = maximal_refusals(view, &auto.subset(x));
-                let ry = maximal_refusals(view, &auto.subset(y));
-                let set = distinguishing_refusal(&rx, &ry)
-                    .or_else(|| distinguishing_refusal(&ry, &rx))
-                    .unwrap_or_default();
-                Some(name_set(fsp, &set))
-            }
-        }
-    };
-    OtfWitness { trace, refusal }
 }
 
 /// Compares the start states of two processes on the fly.

@@ -16,8 +16,10 @@
 //!        │      │                      │
 //!        │  SubsetAutomaton     one memoized Partition
 //!        │   (memoized subset    per Equivalence, solved
-//!        │    arena + PairCache)  by the session's solver
+//!        │    arena)             by the session's solver
 //!        │      │
+//!        │  PairCache::search ──► pair verdicts and on-the-fly
+//!        │      │                 witnesses (one engine)
 //!        │  product DFA ──► one refinement classifies
 //!        │      │           Language/Trace/Failure
 //!        │  ≈ₖ signatures ► one refinement per level
@@ -27,11 +29,13 @@
 //! run on the shared [determinization layer](crate::determinize): one
 //! memoized, interned subset automaton per session serves whole-space
 //! classification (all `n` start subsets determinized into one product DFA,
-//! classified by one partition refinement), individual pair queries (a
-//! congruence-pruned synchronized search with a persistent pair cache), and
-//! the `≈ₖ` hierarchy (each level refines the same arena re-seeded with the
-//! previous level's class-set signatures — a whole `k = 1..K` sweep explores
-//! once).  The pre-determinization paths survive as oracles:
+//! classified by one partition refinement), individual pair queries (one
+//! congruence-pruned synchronized search with a persistent per-notion pair
+//! cache, behind both [`EquivSession::equivalent_states`] and
+//! [`EquivSession::on_the_fly`]), and the `≈ₖ` hierarchy (each level
+//! refines the same arena re-seeded with the previous level's class-set
+//! signatures — a whole `k = 1..K` sweep explores once).  The
+//! pre-determinization paths survive as oracles:
 //! [`EquivSession::representative_scan_partition`] for the determinized
 //! notions and [`kobs::kobs_partition`] for the levels.
 //!
@@ -343,25 +347,42 @@ impl EquivSession {
         self.ensure_limited(usize::MAX)
     }
 
-    /// Size of the session's shared subset arena (building the automaton if
-    /// it does not exist yet).  Exposed for diagnostics — e.g. in the
+    /// Size of the session's shared subset arena (0 until some PSPACE query
+    /// builds it).  Read-only; exposed for diagnostics — e.g. in the
     /// report's DET table.
+    #[must_use]
     pub fn subset_arena_size(&self) -> usize {
-        let view = self.saturated_view();
-        let mut det = self.det.lock().expect("det lock poisoned");
-        let _ = view;
+        let det = self.det.lock().expect("det lock poisoned");
         det.automaton
-            .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp))
-            .num_subsets()
+            .as_ref()
+            .map_or(0, SubsetAutomaton::num_subsets)
     }
 
     /// Number of lazily computed subset transitions so far (diagnostic
     /// companion of [`EquivSession::subset_arena_size`]).
+    #[must_use]
     pub fn subset_steps_computed(&self) -> usize {
-        let mut det = self.det.lock().expect("det lock poisoned");
+        let det = self.det.lock().expect("det lock poisoned");
         det.automaton
-            .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp))
-            .steps_computed()
+            .as_ref()
+            .map_or(0, SubsetAutomaton::steps_computed)
+    }
+
+    /// Runs `work` on the shared subset arena (built on first use), the
+    /// saturated view it explores, and the per-notion pair caches, all under
+    /// the determinization lock.
+    fn with_det<R>(
+        &self,
+        work: impl FnOnce(&mut SubsetAutomaton, &SaturatedView, &mut HashMap<DetNotion, PairCache>) -> R,
+    ) -> R {
+        let view = self.saturated_view();
+        let mut state = self.det.lock().expect("det lock poisoned");
+        let DetState {
+            automaton,
+            pair_caches,
+        } = &mut *state;
+        let auto = automaton.get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
+        work(auto, view, pair_caches)
     }
 
     /// The partition of *all* states into `notion`-equivalence classes,
@@ -417,27 +438,21 @@ impl EquivSession {
                 // once and every further level is one signature pass plus
                 // one refinement of the re-seeded subset DFA.
                 let prev = self.classify_all(Equivalence::KObservational(k - 1));
-                let view = self.saturated_view();
-                let mut state = self.det.lock().expect("det lock poisoned");
-                let auto = state
-                    .automaton
-                    .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-                kobs::arena_level(auto, view, self.fsp.num_states(), &prev, algorithm)
+                self.with_det(|auto, view, _| {
+                    kobs::arena_level(auto, view, self.fsp.num_states(), &prev, algorithm)
+                })
             }
             Equivalence::Language | Equivalence::Trace | Equivalence::Failure => {
                 let det = DetNotion::of(notion).expect("matched a determinizable notion");
-                let view = self.saturated_view();
-                let mut state = self.det.lock().expect("det lock poisoned");
-                let auto = state
-                    .automaton
-                    .get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-                determinize::determinized_partition(
-                    auto,
-                    view,
-                    det,
-                    self.fsp.num_states(),
-                    algorithm,
-                )
+                self.with_det(|auto, view, _| {
+                    determinize::determinized_partition(
+                        auto,
+                        view,
+                        det,
+                        self.fsp.num_states(),
+                        algorithm,
+                    )
+                })
             }
         }
     }
@@ -507,33 +522,34 @@ impl EquivSession {
 
     /// One pair query through the determinization layer: the two ε-closure
     /// start subsets are looked up in (or added to) the shared arena and the
-    /// notion's [`PairCache`] runs its congruence-pruned synchronized
-    /// search, reusing every verdict the session has already established.
+    /// notion's [`PairCache::search`] runs, reusing every verdict the
+    /// session has already established.
     fn det_pair_equivalent(&self, notion: DetNotion, p: StateId, q: StateId) -> bool {
-        let view = self.saturated_view();
-        let mut state = self.det.lock().expect("det lock poisoned");
-        let DetState {
-            automaton,
-            pair_caches,
-        } = &mut *state;
-        let auto = automaton.get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-        let cache = pair_caches.entry(notion).or_default();
-        let (left, right) = (auto.start(view, p), auto.start(view, q));
-        cache.equivalent(auto, view, notion, left, right)
+        self.with_det(|auto, view, caches| {
+            let (left, right) = (auto.start(view, p), auto.start(view, q));
+            let cache = caches.entry(notion).or_default();
+            cache
+                .search(auto, view, notion, left, right)
+                .refutation
+                .is_none()
+        })
     }
 
     /// On-the-fly pair check with witness and exploration stats: the
-    /// [`onthefly`](crate::onthefly) BFS worklist over the session's shared
-    /// subset arena and [`PairCache`], stopping at the first distinguishing
-    /// pair and reconstructing its trace.
+    /// session's one pair engine ([`PairCache::search`]) over the shared
+    /// subset arena, stopping at the first distinguishing pair, with the
+    /// distinguishing chain turned into a replayable
+    /// [`OtfWitness`](crate::onthefly::OtfWitness).
     ///
-    /// The verdict always agrees with [`EquivSession::equivalent_states`];
-    /// what this entry point adds is the replayable
-    /// [`OtfWitness`](crate::onthefly::OtfWitness) on refutation and the
-    /// [`OtfStats`](crate::onthefly::OtfStats) counters, without forcing
-    /// the full determinized partition.  Everything the search learns —
-    /// arena subsets, lazy transitions, proven/refuted pairs — lands in the
-    /// session caches and accelerates later queries of any kind.
+    /// The verdict always agrees with [`EquivSession::equivalent_states`] —
+    /// both run the same search over the same caches; this entry point adds
+    /// the witness on refutation and the
+    /// [`OtfStats`](crate::onthefly::OtfStats) counters, without forcing the
+    /// full determinized partition.  A pair some earlier query already
+    /// refuted answers from the refutation cache with a complete witness.
+    /// Everything the search learns — arena subsets, lazy transitions,
+    /// proven/refuted pairs — lands in the session caches and accelerates
+    /// later queries of any kind.
     ///
     /// # Errors
     ///
@@ -552,18 +568,13 @@ impl EquivSession {
                  on-the-fly engine; {notion} is decided by partition refinement"
             ),
         })?;
-        let view = self.saturated_view();
-        let mut state = self.det.lock().expect("det lock poisoned");
-        let DetState {
-            automaton,
-            pair_caches,
-        } = &mut *state;
-        let auto = automaton.get_or_insert_with(|| SubsetAutomaton::new(&self.fsp));
-        let cache = pair_caches.entry(det).or_default();
-        let (left, right) = (auto.start(view, p), auto.start(view, q));
-        Ok(crate::onthefly::search(
-            &self.fsp, auto, view, cache, det, left, right,
-        ))
+        Ok(self.with_det(|auto, view, caches| {
+            let steps_before = auto.steps_computed();
+            let (left, right) = (auto.start(view, p), auto.start(view, q));
+            let cache = caches.entry(det).or_default();
+            let search = cache.search(auto, view, det, left, right);
+            crate::onthefly::outcome(&self.fsp, auto, view, cache, det, search, steps_before)
+        }))
     }
 
     /// Tests whether two states are related by `notion`.
@@ -590,8 +601,8 @@ impl EquivSession {
     ///
     /// Exception: for the PSPACE notions (`Language`, `Trace`, `Failure`) a
     /// *small* batch — fewer pairs than states, with no partition cached
-    /// yet — is answered pair by pair through the antichain-pruned
-    /// [`PairCache`], since full classification determinizes from every
+    /// yet — is answered pair by pair through the congruence-pruned
+    /// [`PairCache::search`], since full classification determinizes from every
     /// state and would dwarf the batch; the per-pair searches still share
     /// the session's one subset arena and memoize their verdicts.
     pub fn equivalent_pairs(&self, notion: Equivalence, pairs: &[(StateId, StateId)]) -> Vec<bool> {
@@ -1508,6 +1519,21 @@ mod tests {
             "pending-delta buffers count toward the resident figure"
         );
         assert_matches_fresh(&session);
+    }
+
+    /// The arena diagnostics are read-only: asking a fresh session for its
+    /// arena size builds no arena, view or closure, so a later τ-touching
+    /// delta has no arena to report dropped.
+    #[test]
+    fn arena_diagnostics_build_nothing() {
+        let f = format::parse("trans p tau q\ntrans q a r\naccept r").unwrap();
+        let mut session = EquivSession::for_process(&f);
+        assert_eq!(session.subset_arena_size(), 0);
+        assert_eq!(session.subset_steps_computed(), 0);
+        let outcome = session.apply_delta(&[edge(session.fsp(), "r", None, "p")], &[]);
+        assert!(outcome.tau_touched);
+        assert!(!outcome.arena_dropped);
+        assert_eq!(session.closure_builds(), 0);
     }
 
     #[test]

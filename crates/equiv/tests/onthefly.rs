@@ -12,9 +12,10 @@
 //!    enabledness — none of which the search uses), actually distinguishes
 //!    the two processes.
 
+use ccs_equiv::onthefly::OtfWitness;
 use ccs_equiv::{failures, language, onthefly, traces, EquivSession, Equivalence};
 use ccs_fsp::saturate::{tau_closure, weak_string_derivatives, weakly_enabled_actions, TauClosure};
-use ccs_fsp::{ops, ActionId, Fsp, StateId};
+use ccs_fsp::{ops, ActionId, Fsp, Label, StateId};
 use ccs_workloads::{families, protocols, random, RandomConfig};
 use proptest::prelude::*;
 
@@ -88,43 +89,112 @@ fn assert_otf_agrees_and_witnesses_replay(left: &Fsp, right: &Fsp) {
         let witness = outcome
             .witness
             .unwrap_or_else(|| panic!("{notion}: refutation without a witness"));
-        match notion {
-            Equivalence::Language => {
-                let word: Vec<&str> = witness.trace.iter().map(String::as_str).collect();
-                assert_ne!(
-                    language::accepts(fsp, p, &word),
-                    language::accepts(fsp, q, &word),
-                    "language witness {word:?} does not distinguish"
-                );
-            }
-            Equivalence::Trace => {
-                assert_ne!(
-                    has_trace(fsp, &closure, p, &witness.trace),
-                    has_trace(fsp, &closure, q, &witness.trace),
-                    "trace witness {:?} does not distinguish",
-                    witness.trace
-                );
-            }
-            Equivalence::Failure => {
-                let refusal = witness
-                    .refusal
-                    .as_ref()
-                    .expect("failure witnesses carry a refusal set");
-                assert_ne!(
-                    has_failure(fsp, &closure, p, &witness.trace, refusal),
-                    has_failure(fsp, &closure, q, &witness.trace, refusal),
-                    "failure witness ({:?}, {refusal:?}) does not distinguish",
-                    witness.trace
-                );
-            }
-            _ => unreachable!(),
-        }
+        assert_witness_replays(fsp, &closure, p, q, notion, &witness);
     }
 }
 
-#[test]
-fn otf_agrees_on_structured_families() {
-    let cases: Vec<(Fsp, Fsp)> = vec![
+/// Replays a refutation's witness through the independent semantics of
+/// both sides and asserts that it distinguishes them.
+fn assert_witness_replays(
+    fsp: &Fsp,
+    closure: &TauClosure,
+    p: StateId,
+    q: StateId,
+    notion: Equivalence,
+    witness: &OtfWitness,
+) {
+    match notion {
+        Equivalence::Language => {
+            let word: Vec<&str> = witness.trace.iter().map(String::as_str).collect();
+            assert_ne!(
+                language::accepts(fsp, p, &word),
+                language::accepts(fsp, q, &word),
+                "language witness {word:?} does not distinguish"
+            );
+        }
+        Equivalence::Trace => {
+            assert_ne!(
+                has_trace(fsp, closure, p, &witness.trace),
+                has_trace(fsp, closure, q, &witness.trace),
+                "trace witness {:?} does not distinguish",
+                witness.trace
+            );
+        }
+        Equivalence::Failure => {
+            let refusal = witness
+                .refusal
+                .as_ref()
+                .expect("failure witnesses carry a refusal set");
+            assert_ne!(
+                has_failure(fsp, closure, p, &witness.trace, refusal),
+                has_failure(fsp, closure, q, &witness.trace, refusal),
+                "failure witness ({:?}, {refusal:?}) does not distinguish",
+                witness.trace
+            );
+        }
+        _ => unreachable!(),
+    }
+}
+
+/// Exercises the refutation cache of the session's one pair engine on
+/// `left` vs `right`, both prefixed by a fresh action `pre` so that the
+/// prefixed starts `r`, `s` form an ancestor pair of the original starts
+/// `p`, `q`:
+///
+/// 1. `equivalent_states(p, q)` first, then `on_the_fly(p, q)`: a refuted
+///    pair answers from the cache (`pairs_visited == 0`) with a witness
+///    that replays.
+/// 2. `on_the_fly(r, s)`: the search pops the cached pair `(p, q)` and
+///    stops there, so its witness is the BFS prefix `pre` plus the cached
+///    suffix — exactly the witness of step 1 behind `pre` — and replays.
+///
+/// Returns how many notions refuted the pair.
+fn assert_refutation_cache_replays(left: &Fsp, right: &Fsp) -> usize {
+    let (left_pre, right_pre) = (ops::prefix("pre", left), ops::prefix("pre", right));
+    let union = ops::disjoint_union(&left_pre, &right_pre);
+    let fsp = &union.fsp;
+    let (r, s) = ops::union_starts(&union, &left_pre, &right_pre);
+    let (p, q) = (
+        union.left[left.start().index()],
+        union.right[right.start().index()],
+    );
+    let pre = Label::Act(fsp.action_id("pre").unwrap());
+    assert!(fsp.has_transition(r, pre, p) && fsp.has_transition(s, pre, q));
+    let closure = tau_closure(fsp);
+    let mut refuted = 0;
+    for notion in NOTIONS {
+        let session = EquivSession::for_process(fsp);
+        let want = materialized_verdict(fsp, p, q, notion);
+        assert_eq!(session.equivalent_states(p, q, notion), want, "{notion}");
+        let cached = session.on_the_fly(notion, p, q).unwrap();
+        assert_eq!(cached.equivalent, want, "{notion}");
+        if want {
+            continue;
+        }
+        refuted += 1;
+        assert_eq!(cached.stats.pairs_visited, 0, "{notion}: searched again");
+        assert!(cached.stats.cache_hit, "{notion}");
+        let suffix = cached.witness.expect("refutation carries a witness");
+        assert_witness_replays(fsp, &closure, p, q, notion, &suffix);
+
+        let ancestor = session.on_the_fly(notion, r, s).unwrap();
+        assert!(!ancestor.equivalent, "{notion}");
+        assert_eq!(
+            ancestor.stats.pairs_visited, 2,
+            "{notion}: the search must stop at the cached pair"
+        );
+        let witness = ancestor.witness.expect("refutation carries a witness");
+        let mut expected_trace = vec!["pre".to_owned()];
+        expected_trace.extend(suffix.trace.iter().cloned());
+        assert_eq!(witness.trace, expected_trace, "{notion}");
+        assert_eq!(witness.refusal, suffix.refusal, "{notion}");
+        assert_witness_replays(fsp, &closure, r, s, notion, &witness);
+    }
+    refuted
+}
+
+fn structured_cases() -> Vec<(Fsp, Fsp)> {
+    vec![
         (families::chain(4, "a"), families::chain(6, "a")),
         (families::chain(5, "a"), families::chain(5, "a")),
         (families::counter(2), families::counter(3)),
@@ -137,8 +207,12 @@ fn otf_agrees_on_structured_families() {
         (families::binary_tree(2), families::chain(3, "l")),
         (families::det_blowup(12, 3), families::det_blowup(14, 3)),
         (families::det_blowup(8, 3), families::chain(8, "a")),
-    ];
-    for (left, right) in &cases {
+    ]
+}
+
+#[test]
+fn otf_agrees_on_structured_families() {
+    for (left, right) in &structured_cases() {
         assert_otf_agrees_and_witnesses_replay(left, right);
         assert_otf_agrees_and_witnesses_replay(right, left);
     }
@@ -163,6 +237,25 @@ fn otf_agrees_on_the_protocol_corpus() {
             );
         }
     }
+}
+
+#[test]
+fn refutation_cache_replays_on_structured_families() {
+    let mut refuted = 0;
+    for (left, right) in &structured_cases() {
+        refuted += assert_refutation_cache_replays(left, right);
+        refuted += assert_refutation_cache_replays(right, left);
+    }
+    assert!(refuted > 0, "no family pair was refuted");
+}
+
+#[test]
+fn refutation_cache_replays_on_the_protocol_corpus() {
+    let refuted: usize = protocols::corpus()
+        .iter()
+        .map(|protocol| assert_refutation_cache_replays(&protocol.composed(), &protocol.spec))
+        .sum();
+    assert!(refuted > 0, "no broken protocol was refuted");
 }
 
 #[test]

@@ -8,12 +8,11 @@
 //! repository root.
 //!
 //! `pair` queries on determinizable notions (`language`, `trace`,
-//! `failure`) against models at or above the on-the-fly threshold
-//! (`CCS_OTF_THRESHOLD` states, default 512) bypass the coalescer and run
-//! [`EquivSession::on_the_fly`] instead: the engine stops at the first
-//! distinguishing pair instead of materializing the full determinized
-//! partition, and refutations come back with a replayable witness.  The
-//! response's `"engine"` field says which path answered.
+//! `failure`) bypass the coalescer and run [`EquivSession::on_the_fly`]:
+//! the engine stops at the first distinguishing pair instead of
+//! materializing the full determinized partition, and refutations come
+//! back with a replayable witness.  The route depends on the notion alone;
+//! the response's `"engine"` field says which path answered.
 
 use std::str::FromStr;
 use std::sync::Arc;
@@ -33,7 +32,6 @@ use crate::registry::{Registry, RegistryConfig};
 pub struct Service {
     registry: Registry,
     coalescer: Coalescer,
-    otf_threshold: usize,
 }
 
 impl Default for Service {
@@ -43,26 +41,12 @@ impl Default for Service {
 }
 
 impl Service {
-    /// A service with the given registry limits.  The on-the-fly threshold
-    /// comes from `CCS_OTF_THRESHOLD` (states; default 512, `0` routes every
-    /// eligible query on-the-fly).
+    /// A service with the given registry limits.
     #[must_use]
     pub fn new(config: RegistryConfig) -> Self {
-        let threshold = std::env::var("CCS_OTF_THRESHOLD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(512);
-        Service::with_otf_threshold(config, threshold)
-    }
-
-    /// A service with an explicit on-the-fly threshold (exposed so tests
-    /// and embedders can force either `pair` path deterministically).
-    #[must_use]
-    pub fn with_otf_threshold(config: RegistryConfig, otf_threshold: usize) -> Self {
         Service {
             registry: Registry::new(config),
             coalescer: Coalescer::new(),
-            otf_threshold,
         }
     }
 
@@ -157,15 +141,15 @@ impl Service {
         let notion = notion_field(request)?;
         let p = state_field(&session, request, "left")?;
         let q = state_field(&session, request, "right")?;
-        // Oversize models on determinizable notions skip the coalescer: the
-        // on-the-fly engine stops at the first distinguishing pair instead
-        // of forcing the whole determinized partition, and everything it
-        // learns still lands in the shared session caches.
+        // Determinizable notions skip the coalescer: the on-the-fly engine
+        // stops at the first distinguishing pair instead of forcing the
+        // whole determinized partition, and everything it learns still
+        // lands in the shared session caches.
         let determinizable = matches!(
             notion,
             Equivalence::Language | Equivalence::Trace | Equivalence::Failure
         );
-        if determinizable && session.fsp().num_states() >= self.otf_threshold {
+        if determinizable {
             let outcome = session.on_the_fly(notion, p, q)?;
             let mut fields = vec![
                 ("ok", Json::Bool(true)),
@@ -530,9 +514,9 @@ mod tests {
     }
 
     #[test]
-    fn oversize_determinizable_pairs_route_on_the_fly() {
-        // Threshold 0: every eligible pair query takes the on-the-fly path.
-        let service = Service::with_otf_threshold(RegistryConfig::default(), 0);
+    fn determinizable_pairs_route_on_the_fly() {
+        // The route depends on the notion alone, however small the model.
+        let service = Service::default();
         let id = open(
             &service,
             "trans p a q\ntrans p a r\ntrans q b s\ntrans r c s\n\
@@ -560,26 +544,11 @@ mod tests {
         let trace = witness.get("trace").unwrap();
         assert_eq!(trace, &Json::Arr(vec![Json::str("a")]));
         assert!(matches!(witness.get("refusal"), Some(Json::Arr(set)) if !set.is_empty()));
-        // Branching-time notions still use the coalescer regardless of size.
+        // Branching-time notions use the coalescer.
         let value = json::parse(&service.handle_line(&format!(
             r#"{{"op":"pair","session":"{id}","notion":"observational","left":"p","right":"u"}}"#
         )))
         .unwrap();
-        assert_eq!(
-            value.get("engine").and_then(Json::as_str),
-            Some("coalesced")
-        );
-    }
-
-    #[test]
-    fn undersize_models_stay_on_the_coalesced_path() {
-        let service = Service::with_otf_threshold(RegistryConfig::default(), 1_000_000);
-        let id = open(&service, "trans p a q\ntrans r a q\naccept p q r");
-        let value = json::parse(&service.handle_line(&format!(
-            r#"{{"op":"pair","session":"{id}","notion":"trace","left":"p","right":"r"}}"#
-        )))
-        .unwrap();
-        assert_eq!(value.get("equivalent"), Some(&Json::Bool(true)));
         assert_eq!(
             value.get("engine").and_then(Json::as_str),
             Some("coalesced")

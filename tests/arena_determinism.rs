@@ -1,7 +1,6 @@
 //! Determinism suite for the shared subset arena: the explored arena is a
-//! function of the process alone.  Two independent explorations — one over
-//! dense bitset member rows, one over sparse sorted runs — must produce
-//! byte-identical arenas: the same start subsets, the same subset ids in the
+//! function of the process alone.  Two independent explorations must
+//! produce byte-identical arenas: the same start subsets, the same subset ids in the
 //! same intern order, the same member sets, enabled lists, acceptance bits,
 //! transition table and refusal classes.  Every notion's per-subset output
 //! classes are read off those, so identical snapshots mean identical
@@ -13,7 +12,7 @@
 //! synchronized-BFS oracle for k ∈ 0..=4, both through the free functions
 //! and through a session sweep.
 
-use ccs_equiv::determinize::{SubsetAutomaton, SubsetId, SubsetRepr};
+use ccs_equiv::determinize::{SubsetAutomaton, SubsetId};
 use ccs_equiv::{kobs, EquivSession, Equivalence};
 use ccs_fsp::saturate::{tau_closure, SaturatedView};
 use ccs_fsp::{format, Fsp};
@@ -34,10 +33,10 @@ struct ArenaSnapshot {
     refusal_classes: Vec<u32>,
 }
 
-/// Interns every state's start subset, explores the arena to completion
-/// with the given member store, and snapshots it.
-fn explore_snapshot(fsp: &Fsp, view: &SaturatedView, repr: SubsetRepr) -> ArenaSnapshot {
-    let mut auto = SubsetAutomaton::with_repr(fsp, repr);
+/// Interns every state's start subset, explores the arena to completion,
+/// and snapshots it.
+fn explore_snapshot(fsp: &Fsp, view: &SaturatedView) -> ArenaSnapshot {
+    let mut auto = SubsetAutomaton::new(fsp);
     let starts = fsp.state_ids().map(|s| auto.start(view, s)).collect();
     auto.explore(view);
     let ids: Vec<SubsetId> = (0..auto.num_subsets())
@@ -48,28 +47,22 @@ fn explore_snapshot(fsp: &Fsp, view: &SaturatedView, repr: SubsetRepr) -> ArenaS
         num_subsets: auto.num_subsets(),
         steps_computed: auto.steps_computed(),
         delta: auto.transition_table().to_vec(),
-        members: ids.iter().map(|&id| auto.subset(id)).collect(),
+        members: ids.iter().map(|&id| auto.subset(id).to_vec()).collect(),
         enabled: ids.iter().map(|&id| auto.enabled(id).to_vec()).collect(),
         accepting: ids.iter().map(|&id| auto.is_accepting(id)).collect(),
         refusal_classes: ids.iter().map(|&id| auto.refusal_class(view, id)).collect(),
     }
 }
 
-/// Asserts that the dense and the sparse member store, and a repeated
-/// build, all reproduce the same arena snapshot byte for byte.
+/// Asserts that a repeated build reproduces the same arena snapshot byte
+/// for byte.
 fn assert_arena_deterministic(fsp: &Fsp, context: &str) {
     let closure = tau_closure(fsp);
     let view = SaturatedView::build(fsp, &closure);
-    let baseline = explore_snapshot(fsp, &view, SubsetRepr::Dense);
     assert_eq!(
-        explore_snapshot(fsp, &view, SubsetRepr::Dense),
-        baseline,
+        explore_snapshot(fsp, &view),
+        explore_snapshot(fsp, &view),
         "{context}: a repeated build diverged"
-    );
-    assert_eq!(
-        explore_snapshot(fsp, &view, SubsetRepr::Sparse),
-        baseline,
-        "{context}: the sparse store diverged from the dense one"
     );
 }
 
@@ -175,9 +168,7 @@ proptest! {
         let f = random::random_fsp(&config);
         let closure = tau_closure(&f);
         let view = SaturatedView::build(&f, &closure);
-        let dense = explore_snapshot(&f, &view, SubsetRepr::Dense);
-        let sparse = explore_snapshot(&f, &view, SubsetRepr::Sparse);
-        prop_assert_eq!(&sparse, &dense);
+        prop_assert_eq!(explore_snapshot(&f, &view), explore_snapshot(&f, &view));
     }
 
     #[test]

@@ -111,8 +111,8 @@ fn protocol_verification_over_the_server() {
     let left = union.fsp.state_name(p).expect("union states are named");
     let right = union.fsp.state_name(q).expect("union states are named");
 
-    // Threshold 0 forces the on-the-fly path regardless of model size.
-    let service = Service::with_otf_threshold(ccs_server::RegistryConfig::default(), 0);
+    // Determinizable pair queries always take the on-the-fly path.
+    let service = Service::default();
     let escaped = json::Json::str(text.as_str()).to_string();
     let response = service.handle_line(&format!(r#"{{"op":"open","text":{escaped}}}"#));
     let opened = json::parse(&response).unwrap();
