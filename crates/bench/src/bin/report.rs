@@ -35,12 +35,15 @@ type InstanceFamily = (&'static str, fn(usize) -> ccs_partition::Instance);
 
 fn e7_partition_algorithms() {
     println!("\n== E7: generalized partitioning on the CSR core — solver matrix per family ==");
-    println!("   (ks-both = both-halves baseline, ks-small = smaller-half upgrade)");
+    println!(
+        "   (ks-both = both-halves baseline, ks-small = smaller-half upgrade, pt = the serving\n    \
+         solver; weak = the Theorem 4.1(a) observational instance of weak_query_batch(n, 0, 1))"
+    );
     println!(
         "{:>8} {:>8} {:>10} {:>12} {:>12} {:>12} {:>12}",
         "family", "states", "edges", "naive ms", "ks-both ms", "ks-small ms", "pt ms"
     );
-    let families: [InstanceFamily; 4] = [
+    let families: [InstanceFamily; 5] = [
         ("random", |n| strong::to_instance(&standard_process(n, 42))),
         ("chain", ccs_workloads::instances::chain),
         ("cycle", ccs_workloads::instances::cycle),
@@ -48,6 +51,11 @@ fn e7_partition_algorithms() {
             // Complete binary tree with roughly n nodes.
             let depth = n.ilog2() as usize;
             ccs_workloads::instances::binary_tree(depth.saturating_sub(1))
+        }),
+        ("weak", |n| {
+            EquivSession::new(queries::weak_query_batch(n, 0, 1).fsp)
+                .weak_instance()
+                .clone()
         }),
     ];
     for (family, make) in families {

@@ -63,11 +63,11 @@ pub fn kobs_partition(fsp: &Fsp, k: usize) -> Partition {
 }
 
 /// [`kobs_partition`] on the shared subset arena: one exploration, then one
-/// signature pass + one smaller-half DFA refinement per level (see
-/// [`kobs_partition_arena_with`] to name the solver).
+/// signature pass + one Paige–Tarjan DFA refinement per level, the
+/// session's solver (see [`kobs_partition_arena_with`] to name another).
 #[must_use]
 pub fn kobs_partition_arena(fsp: &Fsp, k: usize) -> Partition {
-    kobs_partition_arena_with(fsp, k, Algorithm::KanellakisSmolka)
+    kobs_partition_arena_with(fsp, k, Algorithm::PaigeTarjan)
 }
 
 /// The one-arena `≈ₖ` sweep with an explicit solver: every ε-closure start

@@ -33,7 +33,8 @@
 //!   — the τ-closure, the saturated weak relation (streamed directly into
 //!   the `ccs-partition` CSR, never materialized as a second process), and
 //!   one memoized partition per notion, refined by the session's one solver
-//!   (the smaller-half [`Algorithm::KanellakisSmolka`](ccs_partition::Algorithm::KanellakisSmolka)
+//!   (Paige–Tarjan with flat counters,
+//!   [`Algorithm::PaigeTarjan`](ccs_partition::Algorithm::PaigeTarjan),
 //!   unless built with [`EquivSession::with_algorithm`]) — then answers
 //!   batches of pair queries ([`EquivSession::equivalent_pairs`]) or
 //!   classifies the whole state space ([`EquivSession::classify_all`]) from

@@ -65,13 +65,14 @@
 //! # One solver per session
 //!
 //! A session refines with one [`Algorithm`], fixed when it is built:
-//! [`EquivSession::new`] uses the paper's Section 3 smaller-half algorithm
-//! ([`Algorithm::KanellakisSmolka`]), and [`EquivSession::with_algorithm`]
-//! names another one — the reproduction exhibits and the differential
-//! oracles build sessions that way.  Every solver returns the same
-//! canonical partition, so the solver is not part of the memo key, and
-//! [`EquivSession::apply_delta`] repairs cached partitions with the same
-//! solver.
+//! [`EquivSession::new`] uses Paige–Tarjan with flat edge counters
+//! ([`Algorithm::PaigeTarjan`], the `O(m log n)` of Theorem 3.1), and
+//! [`EquivSession::with_algorithm`] names another one — the reproduction
+//! exhibits and the differential oracles (Kanellakis–Smolka smaller-half
+//! and both-halves, the naive method) build sessions that way.  Every
+//! solver returns the same canonical partition, so the solver is not part
+//! of the memo key, and [`EquivSession::apply_delta`] repairs cached
+//! partitions with the same solver.
 //!
 //! # Amortized cost
 //!
@@ -96,9 +97,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use ccs_fsp::saturate::{
-    tau_closure, weak_action_successors, weak_edges, SaturatedView, TauClosure,
-};
+use ccs_fsp::saturate::{tau_closure, weak_edges, SaturatedView, TauClosure, WeakRows};
 use ccs_fsp::{ActionId, Fsp, Label, StateId};
 use ccs_partition::{incremental, solve, Algorithm, GraphBuilder, Instance, Partition};
 
@@ -200,11 +199,11 @@ pub struct EquivSession {
 }
 
 impl EquivSession {
-    /// Creates a session owning `fsp` that refines with the smaller-half
-    /// algorithm ([`Algorithm::KanellakisSmolka`]).
+    /// Creates a session owning `fsp` that refines with Paige–Tarjan
+    /// ([`Algorithm::PaigeTarjan`]), flat-counter edition.
     #[must_use]
     pub fn new(fsp: Fsp) -> Self {
-        EquivSession::with_algorithm(fsp, Algorithm::KanellakisSmolka)
+        EquivSession::with_algorithm(fsp, Algorithm::PaigeTarjan)
     }
 
     /// Creates a session owning `fsp` whose every refinement runs with
@@ -750,8 +749,8 @@ impl EquivSession {
                 });
         // Per-candidate weak successor rows (one Vec per action), snapshotted
         // before the edit so the weak instance can be row-diffed after it.
-        type WeakRows = Vec<Vec<Vec<StateId>>>;
-        let pre_rows: Option<(Vec<StateId>, WeakRows)> = if tau_free && closure_live && weak_live {
+        type OldRows = Vec<Vec<Vec<StateId>>>;
+        let pre_rows: Option<(Vec<StateId>, OldRows)> = if tau_free && closure_live && weak_live {
             let closure = self.closure.get().expect("closure checked live");
             let mut sources: Vec<StateId> = eff_added
                 .iter()
@@ -765,14 +764,10 @@ impl EquivSession {
                 .state_ids()
                 .filter(|&p| sources.iter().any(|&s| closure.reaches(p, s)))
                 .collect();
+            let mut scratch = WeakRows::new();
             let rows = candidates
                 .iter()
-                .map(|&p| {
-                    self.fsp
-                        .action_ids()
-                        .map(|a| weak_action_successors(&self.fsp, closure, p, a))
-                        .collect()
-                })
+                .map(|&p| scratch.row(&self.fsp, closure, p).to_vec())
                 .collect();
             Some((candidates, rows))
         } else {
@@ -841,21 +836,21 @@ impl EquivSession {
         } else if let Some((candidates, old_rows)) = pre_rows {
             let closure = self.closure.get().expect("closure retained");
             let mut dirty: Vec<StateId> = Vec::new();
-            for (ci, &p) in candidates.iter().enumerate() {
+            let mut scratch = WeakRows::new();
+            for (&p, old_row) in candidates.iter().zip(&old_rows) {
                 let mut changed = false;
-                for a in self.fsp.action_ids() {
-                    let new_row = weak_action_successors(&self.fsp, closure, p, a);
-                    let old_row = &old_rows[ci][a.index()];
-                    if new_row != *old_row {
+                let new_row = scratch.row(&self.fsp, closure, p);
+                for (a, (new_col, old_col)) in new_row.iter().zip(old_row).enumerate() {
+                    if new_col != old_col {
                         changed = true;
-                        for &q in &new_row {
-                            if old_row.binary_search(&q).is_err() {
-                                weak_adds.push((a.index(), p.index(), q.index()));
+                        for &q in new_col {
+                            if old_col.binary_search(&q).is_err() {
+                                weak_adds.push((a, p.index(), q.index()));
                             }
                         }
-                        for &q in old_row {
-                            if new_row.binary_search(&q).is_err() {
-                                weak_removes.push((a.index(), p.index(), q.index()));
+                        for &q in old_col {
+                            if new_col.binary_search(&q).is_err() {
+                                weak_removes.push((a, p.index(), q.index()));
                             }
                         }
                     }

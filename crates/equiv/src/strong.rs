@@ -98,11 +98,11 @@ pub fn strong_partition_with(fsp: &Fsp, algorithm: Algorithm) -> StrongPartition
     }
 }
 
-/// Computes the strong-bisimulation partition with the smaller-half
-/// algorithm, the solver of [`EquivSession::new`](crate::EquivSession::new).
+/// Computes the strong-bisimulation partition with Paige–Tarjan, the solver
+/// of [`EquivSession::new`](crate::EquivSession::new).
 #[must_use]
 pub fn strong_partition(fsp: &Fsp) -> StrongPartition {
-    strong_partition_with(fsp, Algorithm::KanellakisSmolka)
+    strong_partition_with(fsp, Algorithm::PaigeTarjan)
 }
 
 /// Tests whether two states of the same process are strongly equivalent.

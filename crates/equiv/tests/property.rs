@@ -3,8 +3,10 @@
 //! Proposition 2.2.3, and agreement between independently implemented
 //! checkers, on arbitrary small processes.
 
-use ccs_equiv::{failures, kobs, language, limited, relation, strong, traces, weak};
+use ccs_equiv::{failures, kobs, language, limited, relation, strong, traces, weak, EquivSession};
+use ccs_fsp::saturate::{tau_closure, tau_closure_matrix, weak_edges, SaturatedView};
 use ccs_fsp::{Fsp, Label, StateId};
+use ccs_workloads::{random, RandomConfig};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -53,8 +55,124 @@ fn build(raw: &RawProcess) -> Fsp {
     b.build().expect("generated process is non-empty")
 }
 
+/// The weak relation straight from its definition, `⇒a = ⇒ε ∘ →a ∘ ⇒ε`,
+/// over the Floyd–Warshall closure matrix: `rows[p][c]` is the sorted target
+/// list of column `c` at `p`, with column `|Σ|` the ε column.
+fn weak_by_definition(fsp: &Fsp) -> Vec<Vec<Vec<usize>>> {
+    let reach = tau_closure_matrix(fsp);
+    let (n, k) = (fsp.num_states(), fsp.num_actions());
+    (0..n)
+        .map(|p| {
+            let mut row = vec![Vec::new(); k + 1];
+            row[k] = (0..n).filter(|&q| reach[p][q]).collect();
+            for (p1, label, p2) in fsp.all_transitions() {
+                if let (Label::Act(a), true) = (label, reach[p][p1.index()]) {
+                    row[a.index()].extend((0..n).filter(|&q| reach[p2.index()][q]));
+                }
+            }
+            for column in &mut row {
+                column.sort_unstable();
+                column.dedup();
+            }
+            row
+        })
+        .collect()
+}
+
+/// Lays a [`SaturatedView`] out as definition-shaped rows.
+fn view_rows(view: &SaturatedView) -> Vec<Vec<Vec<usize>>> {
+    let k = view.num_actions();
+    (0..view.num_states())
+        .map(|p| {
+            let p = StateId::from_index(p);
+            let mut row: Vec<Vec<usize>> = (0..k)
+                .map(|a| {
+                    let a = ccs_fsp::ActionId::from_index(a);
+                    view.successors(p, a).iter().map(|q| q.index()).collect()
+                })
+                .collect();
+            row.push(
+                view.epsilon_successors(p)
+                    .iter()
+                    .map(|q| q.index())
+                    .collect(),
+            );
+            row
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Every producer of the weak relation — the [`weak_edges`] stream, the
+    /// [`SaturatedView`] CSR, a view patched after a τ-free edit, and the
+    /// session's weak partition instance — equals the definition.  Sizes
+    /// reach past 64 states, so rows span several bitset words.
+    #[test]
+    fn weak_rows_match_the_definition(
+        states in 1usize..160,
+        seed in 0u64..1_000,
+        tau_tenths in 1usize..7,
+        edit in (0usize..1_000, 0usize..2, 0usize..1_000, 0usize..1_000),
+        dirty_stride in 2usize..9,
+    ) {
+        let config = RandomConfig {
+            tau_ratio: 0.1 * tau_tenths as f64,
+            accept_ratio: 0.5,
+            ..RandomConfig::sized(states, seed)
+        };
+        let fsp = random::random_fsp(&config);
+        let expected = weak_by_definition(&fsp);
+        let (n, k) = (fsp.num_states(), fsp.num_actions());
+        let closure = tau_closure(&fsp);
+
+        let mut streamed = vec![vec![Vec::new(); k + 1]; n];
+        for e in weak_edges(&fsp, &closure) {
+            streamed[e.from.index()][e.action.map_or(k, ccs_fsp::ActionId::index)]
+                .push(e.to.index());
+        }
+        prop_assert_eq!(&streamed, &expected);
+
+        let view = SaturatedView::build(&fsp, &closure);
+        prop_assert_eq!(&view_rows(&view), &expected);
+
+        let session = EquivSession::new(fsp.clone());
+        let graph = session.weak_instance().graph();
+        let from_instance: Vec<Vec<Vec<usize>>> = (0..n)
+            .map(|p| {
+                (0..=k)
+                    .map(|c| graph.successors(c, p).iter().map(|q| q.index()).collect())
+                    .collect()
+            })
+            .collect();
+        prop_assert_eq!(&from_instance, &expected);
+
+        // A τ-free edit keeps the closure; the patched view must equal the
+        // definition on the edited process when the dirty set covers the
+        // backward τ-closure of the edited sources (plus arbitrary extras).
+        let (from, action, to, removal) = edit;
+        let from = StateId::from_index(from % n);
+        let added = (from, Label::Act(ccs_fsp::ActionId::from_index(action % k)), StateId::from_index(to % n));
+        let observable: Vec<_> = fsp.all_transitions().filter(|(_, l, _)| !l.is_tau()).collect();
+        let removed: Vec<_> = observable
+            .get(removal % observable.len().max(1))
+            .copied()
+            .into_iter()
+            .collect();
+        let mut edited = fsp.clone();
+        edited.apply_edge_delta(&[added], &removed);
+        let sources: Vec<StateId> = std::iter::once(from).chain(removed.iter().map(|e| e.0)).collect();
+        let dirty: Vec<StateId> = fsp
+            .state_ids()
+            .filter(|&p| {
+                p.index() % dirty_stride == 0 || sources.iter().any(|&s| closure.reaches(p, s))
+            })
+            .collect();
+        let patched = view.patched(&edited, &closure, &dirty);
+        prop_assert_eq!(&view_rows(&patched), &weak_by_definition(&edited));
+        prop_assert_eq!(&patched, &SaturatedView::build(&edited, &closure));
+    }
 
     /// The computed strong partition is a strong bisimulation (a Σ-fixed-point)
     /// and the weak partition is a Σ∪{ε}-fixed-point (Proposition 2.2.1(a)).

@@ -215,12 +215,29 @@ impl Fsp {
     }
 
     /// Iterates over the `Δ(q, a)` successor set: states reachable from
-    /// `state` by one transition labelled `label`.
+    /// `state` by one transition labelled `label`.  The label's run of the
+    /// `(label, target)`-sorted transition list starts where a binary search
+    /// puts it.
     pub fn successors(&self, state: StateId, label: Label) -> impl Iterator<Item = StateId> + '_ {
-        self.transitions(state)
-            .iter()
-            .filter(move |t| t.label == label)
-            .map(|t| t.target)
+        self.labelled(state, label).iter().map(|t| t.target)
+    }
+
+    /// The transitions out of `state` labelled `label`, as a sub-slice of
+    /// [`Fsp::transitions`].
+    pub(crate) fn labelled(&self, state: StateId, label: Label) -> &[Transition] {
+        let ts = self.transitions(state);
+        let lo = ts.partition_point(|t| t.label < label);
+        // The run itself is walked: on the typical handful of transitions a
+        // second binary search costs more than it saves.
+        let len = ts[lo..].iter().take_while(|t| t.label == label).count();
+        &ts[lo..lo + len]
+    }
+
+    /// The observable transitions out of `state`: everything after the
+    /// τ-prefix of the sorted transition list (`τ` sorts first).
+    pub(crate) fn observable(&self, state: StateId) -> &[Transition] {
+        let ts = self.transitions(state);
+        &ts[ts.partition_point(|t| t.label.is_tau())..]
     }
 
     /// Returns `true` iff the transition `(from, label, to)` is in `Δ`.

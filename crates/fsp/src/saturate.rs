@@ -139,7 +139,8 @@ pub fn tau_closure_matrix(fsp: &Fsp) -> Vec<Vec<bool>> {
 
 /// The weak `a`-successor set `{q | p ⇒a q}` for an observable action `a`.
 ///
-/// Returned sorted and duplicate-free.
+/// Returned sorted and duplicate-free.  A one-column run of [`WeakRows`];
+/// callers that need many columns should keep a [`WeakRows`] instead.
 #[must_use]
 pub fn weak_action_successors(
     fsp: &Fsp,
@@ -147,15 +148,109 @@ pub fn weak_action_successors(
     p: StateId,
     action: ActionId,
 ) -> Vec<StateId> {
-    let mut out = Vec::new();
-    for &p1 in closure.successors(p) {
-        for p2 in fsp.successors(p1, Label::Act(action)) {
-            out.extend_from_slice(closure.successors(p2));
+    let mut rows = WeakRows::new();
+    rows.fill(fsp, closure, p, Some(action));
+    std::mem::take(&mut rows.columns[0])
+}
+
+/// The one routine every weak row is built by: [`weak_edges`],
+/// [`SaturatedView::build`], [`SaturatedView::patched`] and
+/// [`weak_action_successors`] all call it.
+///
+/// The row of `p` is computed in one walk over the observable transitions
+/// of `p`'s τ-closure: for every `p′ ∈ ⇒ε(p)` and `p′ →a p″`, the closure of
+/// `p″` is added to column `a`.  Each column is a bitset of `n` bits, so
+/// duplicates cost nothing, plus the list of its words that went nonzero.
+/// Emitting a column sorts only that word list (at most `n/64` entries,
+/// usually far fewer than the column's targets) and reads the set bits out
+/// in order, clearing them as it goes, so the row's cost is the closure walk
+/// plus its output, with no per-target sort and no `O(n)` scan.  A `p″` whose
+/// bit is already set in column `a` is skipped whole: it was set while some
+/// closure containing it was walked in full, and that closure contains
+/// `p″`'s closure too.
+///
+/// The scratch (bitsets, word lists and column buffers) is reused from row
+/// to row; the first row over an `n`-state process pays the one
+/// `n·|Σ|`-bit allocation.
+#[derive(Debug, Default)]
+pub struct WeakRows {
+    /// Column `c` occupies words `c·w .. (c+1)·w`, `w = ⌈n/64⌉`.  All zero
+    /// between rows.
+    bits: Vec<u64>,
+    /// Per column, the indices of the words that went nonzero in this row.
+    touched: Vec<Vec<u32>>,
+    /// Per column, the emitted targets of the last row.
+    columns: Vec<Vec<StateId>>,
+}
+
+impl WeakRows {
+    /// Empty scratch; it sizes itself on the first row.
+    #[must_use]
+    pub fn new() -> Self {
+        WeakRows::default()
+    }
+
+    /// The observable weak row of `p`: entry `a` is `{q | p ⇒a q}`, sorted
+    /// and duplicate-free, for every action `a` of `fsp` in index order.
+    /// The ε column is `closure.successors(p)` and is not repeated here.
+    ///
+    /// The returned columns live in the scratch and are overwritten by the
+    /// next call.
+    pub fn row(&mut self, fsp: &Fsp, closure: &TauClosure, p: StateId) -> &[Vec<StateId>] {
+        self.fill(fsp, closure, p, None);
+        &self.columns
+    }
+
+    /// Fills the columns of `p`'s row: all of `Σ`, or the single column of
+    /// `only`.
+    fn fill(&mut self, fsp: &Fsp, closure: &TauClosure, p: StateId, only: Option<ActionId>) {
+        let words = fsp.num_states().div_ceil(64);
+        let width = if only.is_some() { 1 } else { fsp.num_actions() };
+        self.columns.resize_with(width, Vec::new);
+        self.touched.resize_with(width, Vec::new);
+        if self.bits.len() < width * words {
+            self.bits.resize(width * words, 0);
+        }
+        let base = only.map_or(0, ActionId::index);
+        for &p1 in closure.successors(p) {
+            let moves = match only {
+                Some(a) => fsp.labelled(p1, Label::Act(a)),
+                None => fsp.observable(p1),
+            };
+            for t in moves {
+                let c = t.label.action().map_or(0, ActionId::index) - base;
+                let bits = &mut self.bits[c * words..(c + 1) * words];
+                let x = t.target.index();
+                if bits[x / 64] & (1 << (x % 64)) != 0 {
+                    continue;
+                }
+                let touched = &mut self.touched[c];
+                for &q in closure.successors(t.target) {
+                    let q = q.index();
+                    let word = &mut bits[q / 64];
+                    if *word == 0 {
+                        touched.push(q as u32 / 64);
+                    }
+                    *word |= 1 << (q % 64);
+                }
+            }
+        }
+        let columns = self.columns.iter_mut().zip(&mut self.touched);
+        for (c, (column, touched)) in columns.enumerate() {
+            column.clear();
+            touched.sort_unstable();
+            let bits = &mut self.bits[c * words..(c + 1) * words];
+            for &w in touched.iter() {
+                let mut word = std::mem::take(&mut bits[w as usize]);
+                while word != 0 {
+                    let bit = word.trailing_zeros() as usize;
+                    column.push(StateId::from_index(w as usize * 64 + bit));
+                    word &= word - 1;
+                }
+            }
+            touched.clear();
         }
     }
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 /// The set of observable actions weakly enabled at `p`: actions `a` such that
@@ -197,15 +292,22 @@ pub struct WeakEdge {
 /// Edges come out grouped by source state (ascending); within one state the
 /// observable columns appear in action order followed by the ε column, and
 /// each column's targets are sorted and duplicate-free.  Consumers that lay
-/// the edges out (the CSR-backed [`SaturatedView`], or a downstream graph
-/// builder) can therefore append in a single pass.
+/// the edges out (a downstream graph builder, or the materialized
+/// [`saturate`]) can therefore append in a single pass.  Rows are built one
+/// source state at a time by [`WeakRows`].
 #[must_use]
 pub fn weak_edges<'a>(fsp: &'a Fsp, closure: &'a TauClosure) -> WeakEdges<'a> {
+    let mut rows = WeakRows::new();
+    if fsp.num_states() > 0 {
+        rows.fill(fsp, closure, StateId::from_index(0), None);
+    }
     WeakEdges {
         fsp,
         closure,
-        next_state: 0,
-        buf: Vec::new().into_iter(),
+        rows,
+        state: 0,
+        column: 0,
+        pos: 0,
     }
 }
 
@@ -214,44 +316,44 @@ pub fn weak_edges<'a>(fsp: &'a Fsp, closure: &'a TauClosure) -> WeakEdges<'a> {
 pub struct WeakEdges<'a> {
     fsp: &'a Fsp,
     closure: &'a TauClosure,
-    next_state: usize,
-    /// Edges of the current source state, drained before the next state's
-    /// columns are computed — the only transient storage on this path.
-    buf: std::vec::IntoIter<WeakEdge>,
+    /// The current source state's row — the only transient storage on this
+    /// path.
+    rows: WeakRows,
+    /// Cursor: source state, column (`|Σ|` is ε) and position in it.
+    state: usize,
+    column: usize,
+    pos: usize,
 }
 
 impl Iterator for WeakEdges<'_> {
     type Item = WeakEdge;
 
     fn next(&mut self) -> Option<WeakEdge> {
-        loop {
-            if let Some(edge) = self.buf.next() {
-                return Some(edge);
+        let k = self.fsp.num_actions();
+        while self.state < self.fsp.num_states() {
+            let from = StateId::from_index(self.state);
+            let targets = if self.column < k {
+                &self.rows.columns[self.column][..]
+            } else {
+                self.closure.successors(from)
+            };
+            if let Some(&to) = targets.get(self.pos) {
+                self.pos += 1;
+                let action = (self.column < k).then(|| ActionId::from_index(self.column));
+                return Some(WeakEdge { from, action, to });
             }
-            if self.next_state >= self.fsp.num_states() {
-                return None;
-            }
-            let p = StateId::from_index(self.next_state);
-            self.next_state += 1;
-            let mut edges = Vec::new();
-            for a in self.fsp.action_ids() {
-                for to in weak_action_successors(self.fsp, self.closure, p, a) {
-                    edges.push(WeakEdge {
-                        from: p,
-                        action: Some(a),
-                        to,
-                    });
+            self.pos = 0;
+            self.column += 1;
+            if self.column > k {
+                self.column = 0;
+                self.state += 1;
+                if self.state < self.fsp.num_states() {
+                    let p = StateId::from_index(self.state);
+                    self.rows.fill(self.fsp, self.closure, p, None);
                 }
             }
-            for &to in self.closure.successors(p) {
-                edges.push(WeakEdge {
-                    from: p,
-                    action: None,
-                    to,
-                });
-            }
-            self.buf = edges.into_iter();
         }
+        None
     }
 }
 
@@ -263,8 +365,8 @@ impl Iterator for WeakEdges<'_> {
 /// of the underlying process plus ε — the sorted, duplicate-free weak
 /// successor set is a slice into one contiguous target array.  This is what
 /// the equivalence checkers iterate when they repeatedly need
-/// `{q | p ⇒σ q}`: one `O(1)` slice lookup replaces the per-query
-/// closure-walk of [`weak_action_successors`].
+/// `{q | p ⇒σ q}`: one `O(1)` slice lookup replaces a closure walk per
+/// query.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SaturatedView {
     num_states: usize,
@@ -279,31 +381,43 @@ pub struct SaturatedView {
 }
 
 impl SaturatedView {
-    /// Lays out the weak transition relation of `fsp` by a single pass over
-    /// [`weak_edges`].
+    /// Lays out the weak transition relation of `fsp`, one [`WeakRows`]
+    /// row per state.
     #[must_use]
     pub fn build(fsp: &Fsp, closure: &TauClosure) -> Self {
+        SaturatedView::assemble(fsp, closure, None)
+    }
+
+    /// Lays out every row of `fsp` in state order: copied from `old` where
+    /// its dirty flag is clear, built by [`WeakRows`] otherwise.
+    fn assemble(fsp: &Fsp, closure: &TauClosure, old: Option<(&SaturatedView, &[bool])>) -> Self {
         let n = fsp.num_states();
         let k = fsp.num_actions();
-        let slots = n * (k + 1);
         let narrow = |len: usize| {
             u32::try_from(len).expect("weak edge count exceeds the 32-bit offset range")
         };
-        let mut offsets = vec![0u32; slots + 1];
-        let mut targets: Vec<StateId> = Vec::new();
-        let mut cur_slot = 0usize;
-        for edge in weak_edges(fsp, closure) {
-            let slot = edge.from.index() * (k + 1) + edge.action.map_or(k, ActionId::index);
-            debug_assert!(slot >= cur_slot, "weak_edges must stream in slot order");
-            while cur_slot < slot {
-                cur_slot += 1;
-                offsets[cur_slot] = narrow(targets.len());
+        let mut offsets = Vec::with_capacity(n * (k + 1) + 1);
+        offsets.push(0u32);
+        let mut targets: Vec<StateId> =
+            Vec::with_capacity(old.map_or(0, |(view, _)| view.targets.len()));
+        let mut rows = WeakRows::new();
+        for sid in fsp.state_ids() {
+            match old {
+                Some((view, dirty)) if !dirty[sid.index()] => {
+                    for c in 0..=k {
+                        targets.extend_from_slice(view.column(sid, c));
+                        offsets.push(narrow(targets.len()));
+                    }
+                }
+                _ => {
+                    for column in rows.row(fsp, closure, sid) {
+                        targets.extend_from_slice(column);
+                        offsets.push(narrow(targets.len()));
+                    }
+                    targets.extend_from_slice(closure.successors(sid));
+                    offsets.push(narrow(targets.len()));
+                }
             }
-            targets.push(edge.to);
-        }
-        while cur_slot < slots {
-            cur_slot += 1;
-            offsets[cur_slot] = narrow(targets.len());
         }
         SaturatedView {
             num_states: n,
@@ -398,44 +512,11 @@ impl SaturatedView {
     pub fn patched(&self, fsp: &Fsp, closure: &TauClosure, dirty: &[StateId]) -> SaturatedView {
         assert_eq!(fsp.num_states(), self.num_states, "state count diverged");
         assert_eq!(fsp.num_actions(), self.num_actions, "action count diverged");
-        let k = self.num_actions;
         let mut is_dirty = vec![false; self.num_states];
         for &p in dirty {
             is_dirty[p.index()] = true;
         }
-        let narrow = |len: usize| {
-            u32::try_from(len).expect("weak edge count exceeds the 32-bit offset range")
-        };
-        let mut offsets = Vec::with_capacity(self.offsets.len());
-        offsets.push(0u32);
-        let mut targets: Vec<StateId> = Vec::with_capacity(self.targets.len());
-        for (p, &p_dirty) in is_dirty.iter().enumerate() {
-            let sid = StateId::from_index(p);
-            if p_dirty {
-                for a in 0..k {
-                    targets.extend(weak_action_successors(
-                        fsp,
-                        closure,
-                        sid,
-                        ActionId::from_index(a),
-                    ));
-                    offsets.push(narrow(targets.len()));
-                }
-                targets.extend_from_slice(closure.successors(sid));
-                offsets.push(narrow(targets.len()));
-            } else {
-                for c in 0..=k {
-                    targets.extend_from_slice(self.column(sid, c));
-                    offsets.push(narrow(targets.len()));
-                }
-            }
-        }
-        SaturatedView {
-            num_states: self.num_states,
-            num_actions: k,
-            offsets,
-            targets,
-        }
+        SaturatedView::assemble(fsp, closure, Some((self, &is_dirty)))
     }
 }
 

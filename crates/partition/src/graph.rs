@@ -21,20 +21,33 @@
 //! Graphs are built through a [`GraphBuilder`] that records a flat edge
 //! list — one edge at a time with [`GraphBuilder::add_edge`] or in bulk with
 //! [`GraphBuilder::extend_edges`] — and, at [`GraphBuilder::build`] time,
-//! sorts it, removes duplicate parallel edges (the `fₗ` are set-valued, so
-//! parallel edges carry no information), and lays out both CSR directions in
-//! `O(m log m)`.  Recorded edges are packed `(LabelId, StateId, StateId)`
-//! triples (12 bytes instead of 24), and since id packing is monotonic the
-//! packed triples sort exactly like the `(label, from, to)` index triples.
-//! The builder also records the maximum fan-out `c = max |fₗ(x)|` so that
-//! [`LabeledGraph::max_fanout`] — the parameter of the Kanellakis–Smolka
-//! `O(c²·n·log n)` bound — is an `O(1)` field read instead of a rescan.
+//! lays out both CSR directions in linear time by counting, with no
+//! comparison sort of the edge list:
 //!
-//! A built graph is not a dead end: [`LabeledGraph::merged_with`] folds a
-//! batch of new edges into an existing layout by a sorted two-way merge in
-//! `O(m + p log p)` (for `p` new edges), which is what makes incremental
+//! 1. count the edges of every `(label, from)` slot and prefix-sum the
+//!    counts into the successor offsets;
+//! 2. place each target straight into its slot of `succ_targets`;
+//! 3. sort and deduplicate each slot's slice in place (the `fₗ` are
+//!    set-valued, so parallel edges carry no information), compacting the
+//!    array.  Producers that emit each slot in order, as the weak-relation
+//!    stream does, leave nothing to sort;
+//! 4. derive the predecessor CSR from the successor CSR by the same
+//!    counting, which leaves every predecessor list sorted by source.
+//!
+//! That is `O(m + k·n)` plus the per-slot sorts, against the `O(m log m)`
+//! sort of the whole triple list it replaces.  The recorded edge buffer is
+//! consumed, never copied, and freed before the predecessor arrays are
+//! allocated.  Recorded edges are packed `(LabelId, StateId, StateId)`
+//! triples (12 bytes instead of 24).  The layout also records the maximum
+//! fan-out `c = max |fₗ(x)|` so that [`LabeledGraph::max_fanout`] — the
+//! parameter of the Kanellakis–Smolka `O(c²·n·log n)` bound — is an `O(1)`
+//! field read instead of a rescan.
+//!
+//! A built graph is not a dead end: [`LabeledGraph::merged_with`] and
+//! [`LabeledGraph::edited_with`] walk the existing CSR, drop removals, append
+//! the new edges and run the same layout, which is what makes incremental
 //! [`Instance::add_edge`](crate::Instance::add_edge)/solve interleavings
-//! cheap — the full edge list is never re-sorted.
+//! cheap — no comparison sort of the full edge list.
 
 use crate::ids::{self, IdOverflow, LabelId, StateId};
 
@@ -140,15 +153,28 @@ impl LabeledGraph {
     /// Panics if `label` or `element` is out of range.
     #[must_use]
     pub fn predecessors(&self, label: usize, element: usize) -> &[StateId] {
+        &self.pred_targets[self.predecessor_range(label, element)]
+    }
+
+    /// The positions of [`LabeledGraph::predecessors`]`(label, element)`
+    /// in the flat predecessor array: every edge has one position in
+    /// `0..num_edges()`, so solvers can keep per-edge side tables (such as
+    /// Paige–Tarjan's count-cell pointers) indexed by it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `label` or `element` is out of range.
+    #[must_use]
+    pub fn predecessor_range(&self, label: usize, element: usize) -> std::ops::Range<usize> {
         assert!(label < self.num_labels, "label out of range");
         assert!(element < self.num_elements, "element out of range");
         let s = self.slot(label, element);
-        &self.pred_targets[self.pred_offsets[s] as usize..self.pred_offsets[s + 1] as usize]
+        self.pred_offsets[s] as usize..self.pred_offsets[s + 1] as usize
     }
 
     /// Walks the successor CSR as packed edge triples, in the canonical
     /// sorted `(label, from, to)` order — the stream
-    /// [`LabeledGraph::merged_with`] merges new edges into.
+    /// [`LabeledGraph::edited_with`] relays out with its edits.
     fn packed_edges(&self) -> impl Iterator<Item = Edge> + '_ {
         let n = self.num_elements;
         // With n == 0 the range is empty, so the divisions below never run.
@@ -170,69 +196,25 @@ impl LabeledGraph {
     }
 
     /// Returns a new graph containing this graph's edges plus `extra`,
-    /// deduplicated, without re-sorting the existing edge list: `extra` is
-    /// sorted (`O(p log p)`) and then merged with the already-sorted CSR walk
-    /// (`O(m + p)`).
+    /// deduplicated: the CSR walk and `extra` go through the counting layout
+    /// of [`GraphBuilder::build`], `O(m + p + k·n)` plus sorting the slots
+    /// `extra` lands in.
     ///
     /// # Panics
     ///
     /// Panics if any extra edge mentions an out-of-range label or element.
     #[must_use]
     pub fn merged_with(&self, extra: &[(usize, usize, usize)]) -> LabeledGraph {
-        let mut fresh: Vec<Edge> = extra
-            .iter()
-            .map(|&(l, from, to)| {
-                assert!(l < self.num_labels, "label out of range");
-                assert!(from < self.num_elements, "source element out of range");
-                assert!(to < self.num_elements, "target element out of range");
-                (
-                    LabelId::from_index(l),
-                    StateId::from_index(from),
-                    StateId::from_index(to),
-                )
-            })
-            .collect();
-        fresh.sort_unstable();
-        fresh.dedup();
-        let mut merged = Vec::with_capacity(self.num_edges + fresh.len());
-        let mut old = self.packed_edges().peekable();
-        let mut new = fresh.into_iter().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some(&a), Some(&b)) => {
-                    if a < b {
-                        merged.push(a);
-                        old.next();
-                    } else if b < a {
-                        merged.push(b);
-                        new.next();
-                    } else {
-                        merged.push(a);
-                        old.next();
-                        new.next();
-                    }
-                }
-                (Some(&a), None) => {
-                    merged.push(a);
-                    old.next();
-                }
-                (None, Some(&b)) => {
-                    merged.push(b);
-                    new.next();
-                }
-                (None, None) => break,
-            }
-        }
-        layout(self.num_elements, self.num_labels, &merged)
+        self.edited_with(extra, &[])
     }
 
     /// Returns a new graph with `removals` deleted and `additions` merged in,
     /// in one relayout: removals are applied first, then additions (so an
-    /// edge named in both ends up present).  Like
-    /// [`LabeledGraph::merged_with`], the existing edge list is never
-    /// re-sorted — removals are dropped during the sorted CSR walk and
-    /// additions ride the same two-way merge, `O(m + p log p + r log r)` for
-    /// `p` additions and `r` removals.
+    /// edge named in both ends up present).  Removals are dropped during the
+    /// CSR walk by binary search, and the surviving edges plus `additions`
+    /// go through the counting layout of [`GraphBuilder::build`]:
+    /// `O(m log r + p + k·n)` plus sorting the slots the additions land in,
+    /// for `p` additions and `r` removals.
     ///
     /// Removing an edge that is not present is a no-op, mirroring how adding
     /// a duplicate edge is.
@@ -246,59 +228,25 @@ impl LabeledGraph {
         additions: &[(usize, usize, usize)],
         removals: &[(usize, usize, usize)],
     ) -> LabeledGraph {
-        let pack = |edges: &[(usize, usize, usize)]| -> Vec<Edge> {
-            let mut packed: Vec<Edge> = edges
-                .iter()
-                .map(|&(l, from, to)| {
-                    assert!(l < self.num_labels, "label out of range");
-                    assert!(from < self.num_elements, "source element out of range");
-                    assert!(to < self.num_elements, "target element out of range");
-                    (
-                        LabelId::from_index(l),
-                        StateId::from_index(from),
-                        StateId::from_index(to),
-                    )
-                })
-                .collect();
-            packed.sort_unstable();
-            packed.dedup();
-            packed
+        let pack = |&(l, from, to): &(usize, usize, usize)| -> Edge {
+            assert!(l < self.num_labels, "label out of range");
+            assert!(from < self.num_elements, "source element out of range");
+            assert!(to < self.num_elements, "target element out of range");
+            (
+                LabelId::from_index(l),
+                StateId::from_index(from),
+                StateId::from_index(to),
+            )
         };
-        let gone = pack(removals);
-        let fresh = pack(additions);
-        let mut merged = Vec::with_capacity(self.num_edges + fresh.len());
-        let mut old = self
-            .packed_edges()
-            .filter(|e| gone.binary_search(e).is_err())
-            .peekable();
-        let mut new = fresh.into_iter().peekable();
-        loop {
-            match (old.peek(), new.peek()) {
-                (Some(&a), Some(&b)) => {
-                    if a < b {
-                        merged.push(a);
-                        old.next();
-                    } else if b < a {
-                        merged.push(b);
-                        new.next();
-                    } else {
-                        merged.push(a);
-                        old.next();
-                        new.next();
-                    }
-                }
-                (Some(&a), None) => {
-                    merged.push(a);
-                    old.next();
-                }
-                (None, Some(&b)) => {
-                    merged.push(b);
-                    new.next();
-                }
-                (None, None) => break,
-            }
-        }
-        layout(self.num_elements, self.num_labels, &merged)
+        let mut gone: Vec<Edge> = removals.iter().map(pack).collect();
+        gone.sort_unstable();
+        let mut edges = Vec::with_capacity(self.num_edges + additions.len());
+        edges.extend(
+            self.packed_edges()
+                .filter(|e| gone.binary_search(e).is_err()),
+        );
+        edges.extend(additions.iter().map(pack));
+        layout(self.num_elements, self.num_labels, edges)
     }
 
     /// Whether `to ∈ fₗ(from)` — a binary search over the sorted successor
@@ -316,60 +264,101 @@ impl LabeledGraph {
     }
 }
 
-/// Lays out a sorted, duplicate-free edge list as a [`LabeledGraph`] in
-/// `O(m + k·n)`.  Shared by [`GraphBuilder::build`] (which sorts first) and
-/// [`LabeledGraph::merged_with`] (which merges two sorted streams).
-fn layout(n: usize, k: usize, edges: &[Edge]) -> LabeledGraph {
-    debug_assert!(
-        edges.windows(2).all(|w| w[0] < w[1]),
-        "edges sorted+deduped"
-    );
+/// Lays out an edge list in any order, duplicates allowed, as a
+/// [`LabeledGraph`] by counting (see the module docs): `O(m + k·n)` plus the
+/// per-slot sorts.  The one layout routine behind [`GraphBuilder::build`],
+/// [`LabeledGraph::merged_with`] and [`LabeledGraph::edited_with`]; it
+/// consumes `edges` and frees it before the predecessor arrays exist.
+fn layout(n: usize, k: usize, edges: Vec<Edge>) -> LabeledGraph {
     // Offsets are u32 positions into the target arrays; the ground-set check
     // bounds n and k but not m, so the edge count gets its own check here.
     let _ = ids::narrow(edges.len());
     let slots = k * n;
 
-    // Successors: edges are sorted by (label, from, to), so the target
-    // column *is* the flat successor array once per-slot counts are
-    // prefix-summed into offsets.
+    // Successors: per-slot counts, prefix-summed into slot *ends*; walking
+    // the edges backwards and decrementing a slot's end before each
+    // placement puts every target in recorded order and leaves each offset
+    // at its slot's start.
     let mut succ_offsets = vec![0u32; slots + 1];
-    for &(l, from, _) in edges {
-        succ_offsets[l.index() * n + from.index() + 1] += 1;
+    for &(l, from, _) in &edges {
+        succ_offsets[l.index() * n + from.index()] += 1;
     }
-    let mut max_fanout: u32 = 0;
-    for i in 0..slots {
-        max_fanout = max_fanout.max(succ_offsets[i + 1]);
-        succ_offsets[i + 1] += succ_offsets[i];
+    let mut end = 0u32;
+    for offset in &mut succ_offsets {
+        end += *offset;
+        *offset = end;
     }
-    let succ_targets: Vec<StateId> = edges.iter().map(|&(_, _, to)| to).collect();
+    let mut succ_targets = vec![StateId::from_index(0); edges.len()];
+    for &(l, from, to) in edges.iter().rev() {
+        let s = l.index() * n + from.index();
+        succ_offsets[s] -= 1;
+        succ_targets[succ_offsets[s] as usize] = to;
+    }
+    drop(edges);
 
-    // Predecessors: count per (label, to) slot, prefix-sum, then place
-    // sources with a moving cursor.  Scanning the sorted edge list keeps
-    // each predecessor list sorted by source.
+    // Sort and deduplicate each slot in place, compacting toward the front:
+    // slot `s` is read from its old range before its offset is rewritten,
+    // and the write cursor never passes the read cursor.
+    let mut write = 0usize;
+    let mut max_fanout = 0usize;
+    for s in 0..slots {
+        let (lo, hi) = (succ_offsets[s] as usize, succ_offsets[s + 1] as usize);
+        let row = &mut succ_targets[lo..hi];
+        if !row.windows(2).all(|w| w[0] < w[1]) {
+            row.sort_unstable();
+        }
+        let start = write;
+        for i in lo..hi {
+            let to = succ_targets[i];
+            if write == start || succ_targets[write - 1] != to {
+                succ_targets[write] = to;
+                write += 1;
+            }
+        }
+        succ_offsets[s] = ids::narrow(start);
+        max_fanout = max_fanout.max(write - start);
+    }
+    succ_offsets[slots] = ids::narrow(write);
+    succ_targets.truncate(write);
+    succ_targets.shrink_to_fit();
+
+    // Predecessors from the successor CSR, by the same counting.  Walking
+    // the slots backwards fills each predecessor list from its end with
+    // descending sources, so every list comes out sorted.
     let mut pred_offsets = vec![0u32; slots + 1];
-    for &(l, _, to) in edges {
-        pred_offsets[l.index() * n + to.index() + 1] += 1;
+    for l in 0..k {
+        let label_range = succ_offsets[l * n] as usize..succ_offsets[(l + 1) * n] as usize;
+        for &to in &succ_targets[label_range] {
+            pred_offsets[l * n + to.index()] += 1;
+        }
     }
-    for i in 0..slots {
-        pred_offsets[i + 1] += pred_offsets[i];
+    let mut end = 0u32;
+    for offset in &mut pred_offsets {
+        end += *offset;
+        *offset = end;
     }
-    let mut cursor = pred_offsets.clone();
-    let mut pred_targets = vec![StateId::from_index(0); edges.len()];
-    for &(l, from, to) in edges {
-        let s = l.index() * n + to.index();
-        pred_targets[cursor[s] as usize] = from;
-        cursor[s] += 1;
+    let mut pred_targets = vec![StateId::from_index(0); write];
+    for l in (0..k).rev() {
+        for from in (0..n).rev() {
+            let s = l * n + from;
+            let row = succ_offsets[s] as usize..succ_offsets[s + 1] as usize;
+            for &to in succ_targets[row].iter().rev() {
+                let p = l * n + to.index();
+                pred_offsets[p] -= 1;
+                pred_targets[pred_offsets[p] as usize] = StateId::from_index(from);
+            }
+        }
     }
 
     LabeledGraph {
         num_elements: n,
         num_labels: k,
         succ_offsets,
-        num_edges: succ_targets.len(),
+        num_edges: write,
         succ_targets,
         pred_offsets,
         pred_targets,
-        max_fanout: max_fanout as usize,
+        max_fanout,
     }
 }
 
@@ -509,18 +498,11 @@ impl GraphBuilder {
         }
     }
 
-    /// Sorts and deduplicates the edge list and lays out both CSR
-    /// directions.
+    /// Lays out both CSR directions by counting (see the module docs),
+    /// deduplicating parallel edges; the recorded edge buffer is consumed.
     #[must_use]
     pub fn build(self) -> LabeledGraph {
-        let GraphBuilder {
-            num_elements: n,
-            num_labels: k,
-            mut edges,
-        } = self;
-        edges.sort_unstable();
-        edges.dedup();
-        layout(n, k, &edges)
+        layout(self.num_elements, self.num_labels, self.edges)
     }
 }
 

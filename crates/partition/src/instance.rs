@@ -129,8 +129,9 @@ impl Instance {
     ///
     /// Repeated `add_edge`/solve interleavings stay cheap: if a query has
     /// already merged the pending edges, that merged layout becomes the new
-    /// base (an `O(1)` move), so each query pays one sorted merge over the
-    /// edges added since the previous query — never a full re-sort.
+    /// base (an `O(1)` move), so each query pays one counting relayout that
+    /// sorts only the slots touched by the edges added since the previous
+    /// query — never a full re-sort.
     ///
     /// # Panics
     ///
@@ -471,7 +472,7 @@ mod tests {
     }
 
     /// Regression test for repeated solve/mutate/solve cycles: each query
-    /// after a mutation must pay exactly one sorted merge over the edges of
+    /// after a mutation must pay exactly one relayout for the edges of
     /// that batch (the previous merged layout is promoted to the base, so
     /// chains of batches never re-merge already-merged edges), and the
     /// result must stay identical to a from-scratch build at every step.

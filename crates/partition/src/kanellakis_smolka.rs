@@ -36,7 +36,14 @@
 //! `O(c)` successor scan, giving the paper's `O(c²·n·log n)` total (and a
 //! sound `O(c·m·log n)` in general).  Paige–Tarjan (1987) later removed the
 //! bounded-fanout assumption by replacing the successor scan with edge
-//! counters — see [`paige_tarjan`](crate::paige_tarjan).
+//! counters — see [`paige_tarjan`](crate::paige_tarjan), which is the solver
+//! sessions run.  The scan is what decides it: on the weak instance of the
+//! 1,024-state τ-model `weak_query_batch(1024, 0, 1)` (271,685 edges,
+//! fan-out up to 698) the co-fragment successor scans take 7,342,399 steps
+//! against 393,784 predecessor edges walked, which makes [`refine`] slower
+//! there than both [`refine_both_halves`] and the naive method.  Both variants here
+//! stay as the paper's Section 3 exhibits and as differential oracles for
+//! the Paige–Tarjan kernel.
 //!
 //! Both variants replace the former linear `touched_blocks.contains` scan
 //! per preimage edge with epoch-stamped markers: scratch arrays stamped with
@@ -55,7 +62,7 @@ use crate::{Instance, Partition};
 ///
 /// Returns the live `(block_of, blocks)` state the worklist loop then
 /// refines, in the compact 32-bit layout the loops keep hot.
-fn initial_fine_partition(
+pub(crate) fn initial_fine_partition(
     instance: &Instance,
     graph: &LabeledGraph,
 ) -> (Vec<u32>, Vec<Vec<StateId>>) {

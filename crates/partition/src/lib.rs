@@ -18,8 +18,8 @@
 //! [`LabeledGraph`] (see [`graph`]), which stores every relation's successor
 //! and predecessor lists back to back in four contiguous arrays indexed by
 //! per-`(label, element)` offset tables.  An [`Instance`] wraps a
-//! [`GraphBuilder`] that sorts and deduplicates parallel edges and lays the
-//! CSR out once; `successors`/`predecessors` are slice views into the flat
+//! [`GraphBuilder`] that lays the CSR out once, in linear time by counting,
+//! deduplicating parallel edges per slot; `successors`/`predecessors` are slice views into the flat
 //! arrays, and `num_edges`/`max_fanout` are `O(1)` builder-computed values.
 //! Element, label and block identities are packed 32-bit newtypes (see
 //! [`ids`]), which halves the hot working set on 64-bit targets; ground sets
@@ -37,15 +37,17 @@
 //! * [`kanellakis_smolka::refine`] — the paper's sharpened smaller-half
 //!   variant: only the smaller fragment of a pending splitter group is
 //!   extracted and scanned, giving `O(c²·n·log n)` for fan-out bounded by
-//!   `c` (the module docs spell out the Section 3 argument).  This is the
-//!   solver every `ccs-equiv` session runs.
+//!   `c` (the module docs spell out the Section 3 argument).
 //! * [`paige_tarjan`] — the Paige–Tarjan (1987) "process the smaller half"
 //!   algorithm with compound blocks and edge counts, `O(m log n + n)`
-//!   (Theorem 3.1), generalized to labelled relations.
+//!   (Theorem 3.1), generalized to labelled relations, with its counters in
+//!   flat `u32` cells.  This is the solver every `ccs-equiv` session runs.
 //!
-//! All of them produce the same (canonical) partition; the test-suites, the
-//! root property tests, and the `partition_refinement`/`partition_core`
-//! benches cross-check them against each other.
+//! All of them produce the same (canonical) partition; the first three stay
+//! as the paper's exhibits and as oracles for the fourth.  The test-suites,
+//! the root property tests, the `report` binary's E7 table and the
+//! `partition_refinement`/`partition_core` benches cross-check them against
+//! each other.
 //!
 //! The crate also contains the two classical deterministic-case tools the
 //! paper mentions in Section 3: [`hopcroft`] DFA minimization
@@ -63,7 +65,7 @@
 //! inst.add_edge(0, 1, 0);
 //! inst.add_edge(0, 2, 3);
 //! inst.add_edge(0, 3, 2);
-//! let p = solve(&inst, Algorithm::KanellakisSmolka);
+//! let p = solve(&inst, Algorithm::PaigeTarjan);
 //! // Everything is equivalent: one block.
 //! assert_eq!(p.num_blocks(), 1);
 //! ```
@@ -112,7 +114,8 @@ pub enum Algorithm {
     /// The Kanellakis–Smolka smaller-half algorithm (`O(c²·n·log n)` for
     /// fan-out bounded by `c`).
     KanellakisSmolka,
-    /// The Paige–Tarjan smaller-half algorithm (Theorem 3.1).
+    /// The Paige–Tarjan smaller-half algorithm with edge counters
+    /// (Theorem 3.1) — the solver every session runs.
     PaigeTarjan,
 }
 

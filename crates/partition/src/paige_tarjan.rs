@@ -1,5 +1,6 @@
 //! The Paige–Tarjan relational coarsest partition algorithm (Theorem 3.1),
-//! generalized to labelled relations.
+//! generalized to labelled relations — the solver every `ccs-equiv` session
+//! refines with.
 //!
 //! The algorithm maintains two partitions: the fine partition `Q` (the
 //! answer under construction) and a coarser partition `X` whose blocks are
@@ -19,78 +20,117 @@
 //! each element is scanned `O(log n)` times and the total running time is
 //! `O(m log n + n)` (Paige & Tarjan 1987), which the paper combines with
 //! Lemma 3.1 to decide strong equivalence within the same bound.
-
-use std::collections::HashMap;
+//!
+//! # Flat counters
+//!
+//! The counts live in the textbook layout, with no hashing anywhere in the
+//! loop:
+//!
+//! * one `u32` count cell per live `(label, x, X-block)` triple, in a flat
+//!   `Vec<u32>`; a cell that drops to zero goes on a free list and is reused
+//!   before the array grows, so live cells never exceed the edge count;
+//! * one `u32` cell index per edge, indexed by the edge's position in the
+//!   predecessor CSR ([`LabeledGraph::predecessor_range`]): every edge
+//!   `x →ₗ y` points at the cell of `(l, x, X-block of y)`;
+//! * epoch-stamped per-element scratch (count into `B`, the `S` cell) in
+//!   place of per-round maps.
+//!
+//! `Q` is a refinable partition: elements stored grouped by block in one
+//! array, so a split moves the marked elements to the front of their block's
+//! range and relabels only the smaller side.  The three-way split is two
+//! marking passes over the predecessors of `B`: first everything in
+//! `pre(B)`, then the elements whose count into `S` equals their count into
+//! `B`.
+//!
+//! The smaller-half Kanellakis–Smolka variant ([`kanellakis_smolka::refine`])
+//! answers the co-fragment question by scanning each predecessor's
+//! successors instead, which costs `O(c²)` per element on the high-fan-out
+//! weak instances of Theorem 4.1(a); it stays as the paper's exhibit and as
+//! an oracle for this kernel.
+//!
+//! [`LabeledGraph::predecessor_range`]: crate::LabeledGraph::predecessor_range
+//! [`kanellakis_smolka::refine`]: crate::kanellakis_smolka::refine
 
 use crate::ids::{self, StateId};
+use crate::kanellakis_smolka::initial_fine_partition;
 use crate::{Instance, Partition};
 
 /// Runs the Paige–Tarjan algorithm and returns the coarsest consistent
 /// stable partition.
 #[must_use]
 pub fn refine(instance: &Instance) -> Partition {
+    refine_counting_cells(instance).0
+}
+
+/// [`refine`], also returning the length of the count-cell array, which is
+/// the most cells that were ever live at once (freed cells are reused
+/// before the array grows).
+fn refine_counting_cells(instance: &Instance) -> (Partition, usize) {
     let n = instance.num_elements();
     if n == 0 {
-        return Partition::from_assignment::<usize>(&[]);
+        return (Partition::from_assignment::<usize>(&[]), 0);
     }
     let num_labels = instance.num_labels();
     // Hoist the CSR view out of the hot loops.
     let graph = instance.graph();
+    // The edges into `y` under `label`, as (position in the predecessor
+    // CSR, source): the position indexes the per-edge cell table.
+    let edges_into = |label: usize, y: usize| {
+        graph
+            .predecessor_range(label, y)
+            .zip(graph.predecessors(label, y).iter().map(|x| x.index()))
+    };
 
-    // --- Initial fine partition Q: the initial partition refined by the
-    // per-label "has at least one outgoing edge" signature, so that Q is
-    // stable with respect to the single initial X-block (the whole set).
-    // All live state is 32-bit: elements are packed `StateId`s, Q-/X-block
-    // ids raw `u32`s, and the edge counters `u32` values keyed by 12-byte
-    // `(label, element, x_block)` triples — half the former key size, which
-    // matters because `counts` is the algorithm's largest structure.
-    let mut block_of: Vec<u32> = vec![0; n];
-    let mut q_blocks: Vec<Vec<StateId>> = Vec::new();
-    {
-        let mut sig_to_block: HashMap<(u32, Vec<bool>), u32> = HashMap::new();
-        for (x, block) in block_of.iter_mut().enumerate() {
-            let sig: Vec<bool> = (0..num_labels)
-                .map(|l| !graph.successors(l, x).is_empty())
-                .collect();
-            let key = (instance.initial_blocks()[x], sig);
-            let fresh = ids::narrow(sig_to_block.len());
-            let id = *sig_to_block.entry(key).or_insert(fresh);
-            if id as usize == q_blocks.len() {
-                q_blocks.push(Vec::new());
-            }
-            *block = id;
-            q_blocks[id as usize].push(StateId::from_index(x));
-        }
-    }
+    // --- Q: the initial partition refined by the per-label "has a
+    // successor" signature, so that Q is stable with respect to the single
+    // initial X-block (the whole set).
+    let (block_of, blocks) = initial_fine_partition(instance, graph);
+    let mut q = Blocks::new(block_of, &blocks);
 
-    // --- X partition: initially one block containing every Q-block.
-    let mut x_of_q: Vec<u32> = vec![0; q_blocks.len()];
-    let mut x_blocks: Vec<Vec<u32>> = vec![(0..ids::narrow(q_blocks.len())).collect()];
-
-    // counts[(label, element, x_block)] = number of edges from `element`
-    // under `label` into `x_block`.
-    let mut counts: HashMap<(u32, StateId, u32), u32> = HashMap::new();
-    for l in 0..num_labels {
-        for x in 0..n {
-            let d = graph.successors(l, x).len();
-            if d > 0 {
-                counts.insert((ids::narrow(l), StateId::from_index(x), 0), ids::narrow(d));
-            }
-        }
-    }
-
-    // Worklist of compound X-blocks.
+    // --- X: initially one block containing every Q-block.
+    let mut x_of_q: Vec<u32> = vec![0; blocks.len()];
+    let mut x_blocks: Vec<Vec<u32>> = vec![(0..ids::narrow(blocks.len())).collect()];
+    drop(blocks);
     let mut worklist: Vec<u32> = Vec::new();
-    let mut on_worklist: Vec<bool> = vec![false; 1];
+    let mut on_worklist: Vec<bool> = vec![false];
     if x_blocks[0].len() >= 2 {
         worklist.push(0);
         on_worklist[0] = true;
     }
 
-    // Epoch-stamped "Q-block already marked affected" scratch, one epoch per
-    // (splitter, label) round.
-    let mut affected_stamp: Vec<u64> = vec![0; q_blocks.len()];
-    let mut epoch: u64 = 0;
+    // --- Counters: with X = {U}, the cell of (l, x, U) holds |fₗ(x)|, and
+    // every edge x →ₗ y points at it.
+    let mut cell_of: Vec<u32> = vec![0; graph.num_edges()];
+    let mut counts: Vec<u32> = Vec::new();
+    let mut free: Vec<u32> = Vec::new();
+    {
+        let mut cell_of_source = vec![0u32; n];
+        for l in 0..num_labels {
+            for (x, cell) in cell_of_source.iter_mut().enumerate() {
+                let d = graph.successors(l, x).len();
+                if d > 0 {
+                    *cell = ids::narrow(counts.len());
+                    counts.push(ids::narrow(d));
+                }
+            }
+            for y in 0..n {
+                for (e, x) in edges_into(l, y) {
+                    cell_of[e] = cell_of_source[x];
+                }
+            }
+        }
+    }
+
+    // --- Per-round scratch, valid where `stamp[x] == epoch`: the number of
+    // x's edges into B, and the cell of (l, x, S) — replaced by the cell of
+    // (l, x, B's new X-block) once the counts are moved.
+    let mut stamp: Vec<u32> = vec![0; n];
+    let mut epoch: u32 = 0;
+    let mut into_b: Vec<u32> = vec![0; n];
+    let mut cell: Vec<u32> = vec![0; n];
+    let mut pre_b: Vec<StateId> = Vec::new();
+    let mut splitter: Vec<StateId> = Vec::new();
+    let mut splits: Vec<(u32, u32)> = Vec::new();
 
     while let Some(s) = worklist.pop() {
         on_worklist[s as usize] = false;
@@ -101,7 +141,7 @@ pub fn refine(instance: &Instance) -> Partition {
         let (pos, b) = {
             let q0 = x_blocks[s as usize][0];
             let q1 = x_blocks[s as usize][1];
-            if q_blocks[q0 as usize].len() <= q_blocks[q1 as usize].len() {
+            if q.len(q0) <= q.len(q1) {
                 (0, q0)
             } else {
                 (1, q1)
@@ -118,94 +158,180 @@ pub fn refine(instance: &Instance) -> Partition {
             worklist.push(s);
         }
 
-        let b_elems = q_blocks[b as usize].clone();
+        // Snapshot: the splits below may refine B itself.
+        splitter.clear();
+        splitter.extend_from_slice(q.elements(b));
         for label in 0..num_labels {
-            let l32 = ids::narrow(label);
-            epoch += 1;
-            // Count, for every predecessor x of B under `label`, how many of
-            // its successors lie in B.
-            let mut cnt_b: HashMap<StateId, u32> = HashMap::new();
-            for &y in &b_elems {
-                for &x in graph.predecessors(label, y.index()) {
-                    *cnt_b.entry(x).or_insert(0) += 1;
+            epoch = epoch.wrapping_add(1);
+            if epoch == 0 {
+                stamp.fill(0);
+                epoch = 1;
+            }
+            // Count, for every predecessor x of B under `label`, its edges
+            // into B, and remember the (label, x, S) cell those edges share.
+            pre_b.clear();
+            for &y in &splitter {
+                for (e, x) in edges_into(label, y.index()) {
+                    if stamp[x] != epoch {
+                        stamp[x] = epoch;
+                        into_b[x] = 0;
+                        cell[x] = cell_of[e];
+                        pre_b.push(StateId::from_index(x));
+                    }
+                    into_b[x] += 1;
                 }
             }
-            if cnt_b.is_empty() {
+            if pre_b.is_empty() {
                 continue;
             }
-            // Classify each predecessor: group 1 = successors only in B,
-            // group 2 = successors in both B and S \ B.
-            // Elements not in cnt_b that were in pre(S) form group 3 and are
-            // never touched (that is the point of the counters).
-            let mut affected_blocks: Vec<u32> = Vec::new();
-            let mut group_of: HashMap<StateId, u8> = HashMap::new();
-            for (&x, &into_b) in &cnt_b {
-                let into_s = *counts
-                    .get(&(l32, x, s))
-                    .expect("x has an edge into B ⊆ old S, so a count for S must exist");
-                let group = if into_b == into_s { 1 } else { 2 };
-                group_of.insert(x, group);
-                let d = block_of[x.index()];
-                if affected_stamp[d as usize] != epoch {
-                    affected_stamp[d as usize] = epoch;
-                    affected_blocks.push(d);
+            // Three-way split: first by pre(B), then the elements whose
+            // every edge into S lands in B.  Elements outside pre(B) are
+            // never touched — that is the point of the counters.
+            for &x in &pre_b {
+                q.mark(x);
+            }
+            q.split_marked(&mut splits);
+            for &x in &pre_b {
+                if counts[cell[x.index()] as usize] == into_b[x.index()] {
+                    q.mark(x);
                 }
             }
-            // Three-way split of every affected Q-block.
-            for &d in &affected_blocks {
-                let mut part1: Vec<StateId> = Vec::new();
-                let mut part2: Vec<StateId> = Vec::new();
-                let mut part3: Vec<StateId> = Vec::new();
-                for &x in &q_blocks[d as usize] {
-                    match group_of.get(&x) {
-                        Some(1) => part1.push(x),
-                        Some(2) => part2.push(x),
-                        _ => part3.push(x),
-                    }
-                }
-                let mut parts: Vec<Vec<StateId>> = [part1, part2, part3]
-                    .into_iter()
-                    .filter(|p| !p.is_empty())
-                    .collect();
-                if parts.len() < 2 {
-                    continue;
-                }
-                // Keep the first non-empty part under the old id, create new
-                // Q-blocks (in the same X-block) for the rest.
-                let home_x = x_of_q[d as usize];
-                q_blocks[d as usize] = parts.remove(0);
-                for part in parts {
-                    let new_q = ids::narrow(q_blocks.len());
-                    for &x in &part {
-                        block_of[x.index()] = new_q;
-                    }
-                    q_blocks.push(part);
-                    x_of_q.push(home_x);
-                    affected_stamp.push(0);
-                    x_blocks[home_x as usize].push(new_q);
-                }
-                // The X-block that gained Q-blocks is now compound.
-                if x_blocks[home_x as usize].len() >= 2 && !on_worklist[home_x as usize] {
-                    on_worklist[home_x as usize] = true;
-                    worklist.push(home_x);
+            q.split_marked(&mut splits);
+            for (old, new) in splits.drain(..) {
+                // The new Q-block joins its sibling's X-block, which is
+                // now compound.
+                let home = x_of_q[old as usize];
+                debug_assert_eq!(x_of_q.len(), new as usize, "splits drain in id order");
+                x_of_q.push(home);
+                x_blocks[home as usize].push(new);
+                if !on_worklist[home as usize] {
+                    on_worklist[home as usize] = true;
+                    worklist.push(home);
                 }
             }
-            // Update the counters: edges into B now count toward the new
-            // X-block `xb`; counts toward S shrink accordingly.
-            for (&x, &into_b) in &cnt_b {
-                counts.insert((l32, x, xb), into_b);
-                let entry = counts
-                    .get_mut(&(l32, x, s))
-                    .expect("count for old S exists");
-                *entry -= into_b;
-                if *entry == 0 {
-                    counts.remove(&(l32, x, s));
+            // Move the counts: edges into B now count toward the new
+            // X-block, and the counts toward S shrink accordingly.
+            for &x in &pre_b {
+                let x = x.index();
+                let old = cell[x] as usize;
+                counts[old] -= into_b[x];
+                if counts[old] == 0 {
+                    free.push(ids::narrow(old));
+                }
+                cell[x] = if let Some(c) = free.pop() {
+                    counts[c as usize] = into_b[x];
+                    c
+                } else {
+                    counts.push(into_b[x]);
+                    ids::narrow(counts.len() - 1)
+                };
+            }
+            for &y in &splitter {
+                for (e, x) in edges_into(label, y.index()) {
+                    cell_of[e] = cell[x];
                 }
             }
         }
     }
 
-    Partition::from_assignment(&block_of)
+    (Partition::from_assignment(&q.block_of), counts.len())
+}
+
+/// The refinable fine partition `Q`: elements grouped by block in one array,
+/// each block a range `start..end` of it whose prefix `start..marked` holds
+/// the elements marked for the next split.
+#[derive(Debug)]
+struct Blocks {
+    elems: Vec<StateId>,
+    /// `elems[loc[x]] == x`.
+    loc: Vec<u32>,
+    block_of: Vec<u32>,
+    start: Vec<u32>,
+    end: Vec<u32>,
+    marked: Vec<u32>,
+    /// Blocks with at least one marked element.
+    touched: Vec<u32>,
+}
+
+impl Blocks {
+    fn new(block_of: Vec<u32>, blocks: &[Vec<StateId>]) -> Self {
+        let mut elems = Vec::with_capacity(block_of.len());
+        let mut loc = vec![0u32; block_of.len()];
+        let (mut start, mut end) = (Vec::new(), Vec::new());
+        for members in blocks {
+            start.push(ids::narrow(elems.len()));
+            for &x in members {
+                loc[x.index()] = ids::narrow(elems.len());
+                elems.push(x);
+            }
+            end.push(ids::narrow(elems.len()));
+        }
+        Blocks {
+            elems,
+            loc,
+            block_of,
+            marked: start.clone(),
+            start,
+            end,
+            touched: Vec::new(),
+        }
+    }
+
+    fn len(&self, b: u32) -> u32 {
+        self.end[b as usize] - self.start[b as usize]
+    }
+
+    fn elements(&self, b: u32) -> &[StateId] {
+        &self.elems[self.start[b as usize] as usize..self.end[b as usize] as usize]
+    }
+
+    /// Marks `x` (idempotent) by swapping it into its block's marked prefix.
+    fn mark(&mut self, x: StateId) {
+        let b = self.block_of[x.index()] as usize;
+        let pos = self.loc[x.index()];
+        let m = self.marked[b];
+        if pos < m {
+            return;
+        }
+        if m == self.start[b] {
+            self.touched.push(ids::narrow(b));
+        }
+        let other = self.elems[m as usize];
+        self.elems.swap(pos as usize, m as usize);
+        self.loc[other.index()] = pos;
+        self.loc[x.index()] = m;
+        self.marked[b] = m + 1;
+    }
+
+    /// Splits every touched block into its marked and unmarked parts,
+    /// clearing the marks.  The smaller part becomes the new block, so only
+    /// it is relabelled; each `(old, new)` pair is appended to `splits`.
+    fn split_marked(&mut self, splits: &mut Vec<(u32, u32)>) {
+        for b in std::mem::take(&mut self.touched) {
+            let bi = b as usize;
+            let (s, m, e) = (self.start[bi], self.marked[bi], self.end[bi]);
+            self.marked[bi] = s;
+            if m == e {
+                continue;
+            }
+            let new = ids::narrow(self.start.len());
+            let (lo, hi) = if m - s <= e - m {
+                self.start[bi] = m;
+                self.marked[bi] = m;
+                (s, m)
+            } else {
+                self.end[bi] = m;
+                (m, e)
+            };
+            for &x in &self.elems[lo as usize..hi as usize] {
+                self.block_of[x.index()] = new;
+            }
+            self.start.push(lo);
+            self.end.push(hi);
+            self.marked.push(lo);
+            splits.push((b, new));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -216,7 +342,13 @@ mod tests {
     use crate::{kanellakis_smolka, naive};
 
     fn cross_check(inst: &Instance) -> Partition {
-        let pt = refine(inst);
+        let (pt, cells) = refine_counting_cells(inst);
+        assert!(
+            cells <= inst.num_edges() + inst.num_labels() * inst.num_elements(),
+            "{cells} count cells outlive the m + k·n bound"
+        );
+        // Each live cell has at least one edge pointing at it.
+        assert!(cells <= inst.num_edges());
         let ks = kanellakis_smolka::refine(inst);
         let nv = naive::refine(inst);
         assert_eq!(pt, ks, "paige-tarjan vs kanellakis-smolka");
@@ -303,6 +435,27 @@ mod tests {
         inst.add_edge(0, 3, 2);
         let p = cross_check(&inst);
         assert!(p.same_block(0, 1));
+    }
+
+    #[test]
+    fn live_count_cells_stay_within_m_plus_kn() {
+        // High fan-out, as in a saturated weak instance: every element of a
+        // layered DAG reaches everything below it, under two labels, so
+        // splitters keep carving counts out of shared cells.
+        let n = 48;
+        let mut inst = Instance::new(n, 2);
+        for x in 0..n {
+            for y in x + 1..n {
+                inst.add_edge(0, x, y);
+                if (x + y) % 3 == 0 {
+                    inst.add_edge(1, x, y);
+                }
+            }
+        }
+        let (p, cells) = refine_counting_cells(&inst);
+        assert!(cells > 0);
+        assert!(cells <= inst.num_edges() + inst.num_labels() * n);
+        assert_eq!(p, cross_check(&inst));
     }
 
     #[test]

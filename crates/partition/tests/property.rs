@@ -2,7 +2,7 @@
 //! arbitrary instances all three algorithms agree, the result is stable and
 //! consistent, and it is coarser than any stable refinement we can exhibit.
 
-use ccs_partition::{solve, Algorithm, Instance, Partition};
+use ccs_partition::{solve, Algorithm, GraphBuilder, Instance, LabeledGraph, Partition};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -41,6 +41,46 @@ fn build(raw: &RawInstance) -> Instance {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The counting layout of `GraphBuilder::build`, fed every edge twice in
+    /// two orders, equals merging the edges into the empty graph, and both
+    /// equal the sorted, deduplicated reference lists.
+    #[test]
+    fn counting_layout_matches_merging_into_the_empty_graph(raw in instance_strategy()) {
+        let mut builder = GraphBuilder::new(raw.n, raw.labels);
+        builder.extend_edges(raw.edges.iter().copied());
+        builder.extend_edges(raw.edges.iter().rev().copied());
+        let built = builder.build();
+        prop_assert_eq!(&built, &LabeledGraph::empty(raw.n, raw.labels).merged_with(&raw.edges));
+
+        let mut reference = raw.edges.clone();
+        reference.sort_unstable();
+        reference.dedup();
+        prop_assert_eq!(built.edges().collect::<Vec<_>>(), reference.clone());
+        prop_assert_eq!(built.num_edges(), reference.len());
+        let mut max_fanout = 0;
+        for l in 0..raw.labels {
+            for x in 0..raw.n {
+                let succ: Vec<usize> = reference
+                    .iter()
+                    .filter(|&&(el, from, _)| el == l && from == x)
+                    .map(|&(_, _, to)| to)
+                    .collect();
+                let pred: Vec<usize> = reference
+                    .iter()
+                    .filter(|&&(el, _, to)| el == l && to == x)
+                    .map(|&(_, from, _)| from)
+                    .collect();
+                max_fanout = max_fanout.max(succ.len());
+                let got: Vec<usize> = built.successors(l, x).iter().map(|s| s.index()).collect();
+                prop_assert_eq!(got, succ);
+                let got: Vec<usize> = built.predecessors(l, x).iter().map(|s| s.index()).collect();
+                prop_assert_eq!(got, pred);
+                prop_assert_eq!(built.predecessor_range(l, x).len(), built.predecessors(l, x).len());
+            }
+        }
+        prop_assert_eq!(built.max_fanout(), max_fanout);
+    }
 
     #[test]
     fn all_algorithms_agree(raw in instance_strategy()) {

@@ -9,6 +9,10 @@
 //! Objects preserve a canonical order (`BTreeMap`), so serializing a value
 //! always produces the same bytes — the concurrency tests rely on
 //! byte-identical responses across threads.
+//!
+//! The parser is recursive descent, so nesting is bounded by
+//! [`MAX_DEPTH`]: a deeper line is an ordinary parse error instead of a
+//! stack overflow that would abort the whole server.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -147,17 +151,23 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
+/// The deepest array/object nesting [`parse`] accepts.  The protocol's
+/// own requests nest at most three levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses one JSON value from `text`, requiring it to consume the whole
 /// input (trailing whitespace allowed).
 ///
 /// # Errors
 ///
-/// Returns a human-readable description of the first syntax problem.
+/// Returns a human-readable description of the first syntax problem,
+/// including arrays and objects nested deeper than [`MAX_DEPTH`].
 pub fn parse(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         text,
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -172,6 +182,8 @@ struct Parser<'a> {
     text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -209,8 +221,8 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(format!(
                 "unexpected character {:?} at byte {}",
@@ -218,6 +230,21 @@ impl Parser<'_> {
             )),
             None => Err("unexpected end of input".to_owned()),
         }
+    }
+
+    /// Runs `parse` on an array or object one level deeper, refusing to go
+    /// past [`MAX_DEPTH`].
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn number(&mut self) -> Result<Json, String> {
@@ -427,5 +454,25 @@ mod tests {
         let xs = v.get("xs").and_then(Json::as_arr).unwrap();
         assert_eq!(xs[0].as_arr().unwrap()[0].as_i64(), Some(-1));
         assert_eq!(xs[1].as_arr().unwrap()[1].as_i64(), Some(i64::MAX));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&at_limit).is_ok());
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(parse(&objects).is_ok());
+        let too_deep = "[".repeat(200_000);
+        let err = parse(&too_deep).unwrap_err();
+        assert_eq!(
+            err,
+            format!("nesting deeper than {MAX_DEPTH} levels at byte {MAX_DEPTH}")
+        );
+        let mixed = format!(
+            "{}[{{}}]{}",
+            "[".repeat(MAX_DEPTH - 1),
+            "]".repeat(MAX_DEPTH - 1)
+        );
+        assert!(parse(&mixed).unwrap_err().starts_with("nesting deeper"));
     }
 }

@@ -1,11 +1,13 @@
 //! Cross-crate property tests: on random `ccs_workloads` inputs, all four
 //! generalized-partitioning solvers (naive, Kanellakis–Smolka in both the
 //! both-halves and smaller-half variants, Paige–Tarjan) produce identical
-//! partitions that pass the `is_consistent_stable` oracle, both on raw
-//! instances and through the Lemma 3.1 reduction from processes; on the
-//! deterministic special case Hopcroft agrees as well.
+//! partitions that pass the `is_consistent_stable` oracle, on raw instances,
+//! through the Lemma 3.1 reduction from processes, and on the weak instances
+//! of Theorem 4.1(a) (the dense ε-saturated relation, whose fan-out is the
+//! high-fan-out case the other generators miss); on the deterministic
+//! special case Hopcroft agrees as well.
 
-use ccs_equiv::strong;
+use ccs_equiv::{strong, EquivSession};
 use ccs_partition::{hopcroft, solve, Algorithm, Dfa, Instance, Partition};
 use ccs_workloads::{instances, random, RandomConfig};
 use proptest::prelude::*;
@@ -50,6 +52,25 @@ proptest! {
         };
         let inst = strong::to_instance(&random::random_fsp(&config));
         let p = solvers_agree(&inst)?;
+        prop_assert_eq!(p.num_elements(), states);
+    }
+
+    #[test]
+    fn solvers_agree_on_random_weak_instances(
+        states in 1usize..40,
+        seed in 0u64..1_000,
+        tau_tenths in 1usize..7,
+        transitions_per_state in 2usize..5,
+    ) {
+        // Through saturation: random τ-process -> weak instance.
+        let config = RandomConfig {
+            tau_ratio: 0.1 * tau_tenths as f64,
+            transitions_per_state: transitions_per_state as f64,
+            accept_ratio: 0.5,
+            ..RandomConfig::sized(states, seed)
+        };
+        let session = EquivSession::new(random::random_fsp(&config));
+        let p = solvers_agree(session.weak_instance())?;
         prop_assert_eq!(p.num_elements(), states);
     }
 
