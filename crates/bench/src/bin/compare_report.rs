@@ -1,8 +1,7 @@
 //! Diffs two `report` outputs for performance regressions on the tracked
 //! tables (E7 solver matrix, WP weak-pipeline table, the DET
 //! determinization table, the KOBS one-arena ≈ₖ-sweep table, the OTF
-//! protocol-corpus table, the DELTA incremental-maintenance table, and the
-//! MEM resident-bytes table).
+//! protocol-corpus table, and the MEM resident-bytes table).
 //!
 //! Usage:
 //!
@@ -35,7 +34,6 @@ enum Section {
     Det,
     Kobs,
     Otf,
-    Delta,
     Mem,
 }
 
@@ -50,9 +48,7 @@ enum Section {
 /// columns 4–5, the speedup derived); OTF rows are `family product union
 /// notion verdict otf-subsets full-subsets otf full` (subset counts ride
 /// the ratio check like MEM bytes do — an exploration blow-up fails like a
-/// slowdown — and the two timings close the row); DELTA rows are `family
-/// states edits/b i/q/f delta rebuild speedup` (timings in columns 4–5, the
-/// path-mix token and the derived speedup are skipped).
+/// slowdown — and the two timings close the row).
 /// MEM rows come in two shapes: 5-token session rows `family states subsets
 /// session-bytes arena-bytes` and 4-token CSR rows `family states edges
 /// csr-bytes` — byte counts ride the same ratio check as timings, so a
@@ -73,8 +69,6 @@ fn parse_report(text: &str) -> Rows {
                 Section::Kobs
             } else if trimmed.contains("OTF:") {
                 Section::Otf
-            } else if trimmed.contains("DELTA:") {
-                Section::Delta
             } else if trimmed.contains("MEM:") {
                 Section::Mem
             } else {
@@ -142,21 +136,6 @@ fn parse_report(text: &str) -> Rows {
                 let timings = cols
                     .iter()
                     .zip(&tokens[5..9])
-                    .map(|(name, t)| ((*name).to_owned(), t.parse().expect("checked numeric")))
-                    .collect();
-                rows.insert(key, timings);
-            }
-            Section::Delta
-                if tokens.len() == 7
-                    && tokens[1..3].iter().all(|t| numeric(t))
-                    && !numeric(tokens[3])
-                    && tokens[4..].iter().all(|t| numeric(t)) =>
-            {
-                let key = format!("delta/{}/{}/{}", tokens[0], tokens[1], tokens[2]);
-                let cols = ["delta", "rebuild"];
-                let timings = cols
-                    .iter()
-                    .zip(&tokens[4..6])
                     .map(|(name, t)| ((*name).to_owned(), t.parse().expect("checked numeric")))
                     .collect();
                 rows.insert(key, timings);
@@ -318,11 +297,6 @@ host: cores=4
       family   product   union   notion  verdict  otf-subsets  full-subsets    otf ms   full ms
       abp-c2       864      47    trace       eq           18            95     12.00     40.00
 
-== DELTA: incremental partition maintenance — delta-refine vs from-scratch rebuild ==
-   (mutating_queries gadget stream; i/q/f = path mix; ...)
-  family   states  edits/b    i/q/f     delta ms   rebuild ms   speedup
- gadgets     1024        1    6/2/0         0.40         2.00       5.0
-
 == MEM: resident bytes — honest capacity-based accounting per family ==
    (session = EquivSession::approx_resident_bytes after classify_all; ...)
   family   states   subsets    session B      arena B
@@ -338,11 +312,7 @@ host: cores=4
     #[test]
     fn parses_only_tracked_sections() {
         let rows = parse_report(SAMPLE);
-        assert_eq!(rows.len(), 9);
-        assert_eq!(
-            rows["delta/gadgets/1024/1"],
-            vec![("delta".to_owned(), 0.4), ("rebuild".to_owned(), 2.0)]
-        );
+        assert_eq!(rows.len(), 8);
         assert_eq!(
             rows["otf/abp-c2/trace"],
             vec![

@@ -11,7 +11,7 @@
 //! regenerated without rerunning E7/WP; bare positional names behave the
 //! same way.
 //!
-//! The E7, WP, DET, KOBS, OTF, DELTA and MEM tables are additionally
+//! The E7, WP, DET, KOBS, OTF and MEM tables are additionally
 //! tracked for regressions:
 //! the scheduled CI job diffs them against the committed snapshot under
 //! `crates/bench/baselines/` with the `compare_report` binary.
@@ -21,8 +21,8 @@ use std::time::Instant;
 use ccs_bench::{equivalent_pair, general_process, standard_process};
 use ccs_equiv::{failures, kobs, strong, weak, EquivSession, Equivalence};
 use ccs_expr::{construct, parse};
-use ccs_partition::{dfa_equiv, hopcroft, solve, Algorithm, DeltaRefiner, Dfa, EdgeDelta};
-use ccs_workloads::{families, mutating_queries, queries};
+use ccs_partition::{dfa_equiv, hopcroft, solve, Algorithm, Dfa};
+use ccs_workloads::{families, queries};
 
 fn time_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
@@ -277,73 +277,6 @@ fn otf_protocol_corpus() {
     }
 }
 
-fn delta_incremental_maintenance() {
-    println!(
-        "\n== DELTA: incremental partition maintenance — delta-refine vs from-scratch rebuild =="
-    );
-    println!(
-        "   (mutating_queries gadget stream: per batch, DeltaRefiner::apply repairs the last\n    \
-         stable partition — seeded splitter worklist, certificate check, quotient fallback —\n    \
-         vs solving the mutated instance from scratch; i/q/f = incremental /\n    \
-         quotient-rebuild / full-rebuild batch counts; every batch asserts\n    \
-         block-for-block agreement with the from-scratch oracle)"
-    );
-    println!(
-        "{:>8} {:>8} {:>8} {:>8} {:>12} {:>12} {:>9}",
-        "family", "states", "edits/b", "i/q/f", "delta ms", "rebuild ms", "speedup"
-    );
-    const BATCHES: usize = 8;
-    // Throwaway pass so the first timed row does not absorb the cold-start
-    // cost (page faults, lazy allocator growth).
-    {
-        let (warm, _) = mutating_queries::mutating_instance(64, 0, 0, 42);
-        let _ = solve(&warm, Algorithm::PaigeTarjan);
-    }
-    for &n in &[256usize, 1024, 4096] {
-        for &edits in &[1usize, 4] {
-            let copies = n / mutating_queries::GADGET_STATES;
-            let (inst, batches) = mutating_queries::mutating_instance(copies, BATCHES, edits, 42);
-            let mut refiner = DeltaRefiner::new(inst, Algorithm::PaigeTarjan);
-            let (mut t_delta, mut t_rebuild) = (0.0f64, 0.0f64);
-            for batch in &batches {
-                let delta = EdgeDelta {
-                    additions: batch.additions.clone(),
-                    removals: batch.removals.clone(),
-                };
-                let (_path, t) = time_ms(|| refiner.apply(&delta));
-                t_delta += t;
-                let (oracle, t) = time_ms(|| solve(refiner.instance(), Algorithm::PaigeTarjan));
-                t_rebuild += t;
-                assert_eq!(
-                    refiner.partition(),
-                    &oracle,
-                    "delta-refined partition diverged from the from-scratch oracle"
-                );
-                assert!(
-                    refiner.instance().is_consistent_stable(refiner.partition()),
-                    "delta-refined partition is not a stable refinement"
-                );
-            }
-            // The path mix is seed-deterministic, so it is part of the
-            // tracked snapshot, unlike the timings around it.
-            let stats = refiner.stats();
-            println!(
-                "{:>8} {:>8} {:>8} {:>8} {:>12.2} {:>12.2} {:>9.1}",
-                "gadgets",
-                n,
-                edits,
-                format!(
-                    "{}/{}/{}",
-                    stats.incremental, stats.quotient_rebuilds, stats.full_rebuilds
-                ),
-                t_delta,
-                t_rebuild,
-                t_rebuild / t_delta
-            );
-        }
-    }
-}
-
 fn mem_resident_footprint() {
     println!("\n== MEM: resident bytes — honest capacity-based accounting per family ==");
     println!(
@@ -548,11 +481,6 @@ const TABLES: &[(&str, &str, fn())] = &[
         "otf",
         "on-the-fly protocol checks: peak explored vs materialized",
         otf_protocol_corpus,
-    ),
-    (
-        "delta",
-        "incremental delta-refinement vs from-scratch rebuild",
-        delta_incremental_maintenance,
     ),
     (
         "mem",

@@ -50,7 +50,7 @@ pub mod laws;
 mod parser;
 
 pub use ast::StarExpr;
-pub use parser::{parse, ExprError};
+pub use parser::{parse, ExprError, MAX_DEPTH};
 
 use ccs_equiv::strong;
 

@@ -71,8 +71,18 @@
 //! exhibits and the differential oracles (Kanellakis–Smolka smaller-half
 //! and both-halves, the naive method) build sessions that way.  Every
 //! solver returns the same canonical partition, so the solver is not part
-//! of the memo key, and [`EquivSession::apply_delta`] repairs cached
+//! of the memo key, and [`EquivSession::apply_delta`] re-solves cached
 //! partitions with the same solver.
+//!
+//! # Live mutation
+//!
+//! [`EquivSession::apply_delta`] edits the owned process and keeps what the
+//! edit cannot have changed: it patches the strong and weak instances in
+//! place ([`Instance::apply_delta`]), resplices the saturated view, keeps
+//! the τ-closure on τ-free batches and the subset arena outside the edit's
+//! backward cone, and re-solves each cached `Strong`/`Observational`
+//! partition over its patched instance.  There is no second refinement
+//! engine for deltas: the re-solve is the session's own solver.
 //!
 //! # Amortized cost
 //!
@@ -99,7 +109,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use ccs_fsp::saturate::{tau_closure, weak_edges, SaturatedView, TauClosure, WeakRows};
 use ccs_fsp::{ActionId, Fsp, Label, StateId};
-use ccs_partition::{incremental, solve, Algorithm, GraphBuilder, Instance, Partition};
+use ccs_partition::{solve, Algorithm, GraphBuilder, Instance, Partition};
 
 use crate::check::Equivalence;
 use crate::determinize::{self, DetNotion, PairCache, SubsetAutomaton};
@@ -143,8 +153,9 @@ pub struct SessionDeltaOutcome {
     /// The subset arena (and its pair caches) had to be dropped because an
     /// interned subset could reach a changed weak row.
     pub arena_dropped: bool,
-    /// Cached partitions that were delta-refined to the new coarsest
-    /// solution instead of being recomputed from scratch.
+    /// Cached partitions that were re-solved in place over their patched
+    /// instance (the name predates the re-solve; it is also the `mutate`
+    /// wire field).
     pub partitions_delta_refined: usize,
 }
 
@@ -194,7 +205,7 @@ pub struct EquivSession {
     /// counter the mutation-path retention tests observe.
     closure_builds: AtomicUsize,
     /// The refinement solver every partition of this session is computed
-    /// (and delta-repaired) with, fixed at construction.
+    /// (and re-solved after a delta) with, fixed at construction.
     algorithm: Algorithm,
 }
 
@@ -640,8 +651,7 @@ impl EquivSession {
 
     /// Applies an edge batch — removals first, then additions — to the
     /// owned process and repairs the session's caches instead of dropping
-    /// them wholesale.  This is the session face of the
-    /// [`ccs_partition::incremental`] delta path:
+    /// them wholesale: the instances are patched, then re-solved.
     ///
     /// * **τ-free batches keep the τ-closure.**  `⇒ε` only depends on
     ///   τ-edges, so the cached [`TauClosure`] (and the
@@ -655,10 +665,11 @@ impl EquivSession {
     ///   bit-for-bit still correct and stay put.
     /// * **Dirty rows are respliced, not rebuilt.**  Otherwise the view is
     ///   [patched](SaturatedView::patched) in place, the weak CSR takes the
-    ///   row diff as a pending delta, and cached `Strong`/`Observational`
-    ///   partitions are delta-refined through
-    ///   [`incremental::refine_delta`] — certificate-checked, so the result
-    ///   is the coarsest solution, never an approximation.
+    ///   row diff through [`Instance::apply_delta`], and cached
+    ///   `Strong`/`Observational` partitions are re-solved from scratch over
+    ///   the patched instance with the session's solver.  An edit can
+    ///   coarsen the solution, which no sequence of splits of the old
+    ///   partition reaches, so the old partition is not reused.
     /// * **The subset arena survives when the edit cannot reach it.**  A
     ///   determinized verdict depends on the forward cone of its subsets;
     ///   the arena (and its pair caches) are kept iff no interned subset
@@ -667,7 +678,8 @@ impl EquivSession {
     ///   so every retained exploration replays identically.
     /// * **τ-touching batches drop the weak artifacts** for lazy rebuild
     ///   (the closure itself changed); cached strong partitions are still
-    ///   delta-refined, since Lemma 3.1 needs no saturation.
+    ///   re-solved over the patched strong instance, since Lemma 3.1 needs
+    ///   no saturation.
     ///
     /// Takes `&mut self` — mutate between query phases, not mid-query; the
     /// `ccs-server` registry unshares a session before calling this.
@@ -792,7 +804,6 @@ impl EquivSession {
         let strong_adds: Vec<(usize, usize, usize)> = eff_added.iter().map(to_strong).collect();
         let strong_removes: Vec<(usize, usize, usize)> =
             eff_removed.iter().map(to_strong).collect();
-        let threshold = incremental::default_threshold();
         let strong_updated = if let Some(mut inst) = self.strong_instance.take() {
             let fits = strong_adds
                 .iter()
@@ -895,7 +906,7 @@ impl EquivSession {
             WeakFate::Valid
         };
 
-        // Partition memo: delta-refine what the instances can certify, keep
+        // Partition memo: re-solve over the instances patched in place, keep
         // what the weak fate proves untouched, drop the rest for lazy
         // recomputation.  Cells are rebuilt rather than mutated — the memo
         // is single-flight per cell, and `&mut self` guarantees no reader.
@@ -903,26 +914,14 @@ impl EquivSession {
         let map = self.partitions.get_mut().expect("partitions lock poisoned");
         let old_cells = std::mem::take(map);
         for (notion, cell) in old_cells {
-            let Some(prev) = cell.get().cloned() else {
+            if cell.get().is_none() {
                 continue; // never computed: drop the empty cell
-            };
+            }
             let replacement: Option<Partition> = match notion {
-                Equivalence::Strong => {
-                    if strong_updated {
-                        let inst = self.strong_instance.get().expect("updated in place");
-                        let (next, _path) = incremental::refine_delta(
-                            inst,
-                            &prev,
-                            &strong_adds,
-                            &strong_removes,
-                            algorithm,
-                            threshold,
-                        );
-                        Some(next)
-                    } else {
-                        None
-                    }
-                }
+                Equivalence::Strong => strong_updated.then(|| {
+                    let inst = self.strong_instance.get().expect("updated in place");
+                    solve(inst, algorithm)
+                }),
                 // Level 0 of `≈ₖ` is the extension-set partition — edge
                 // edits cannot touch it.
                 Equivalence::KObservational(0) => {
@@ -934,19 +933,10 @@ impl EquivSession {
                         map.insert(notion, cell);
                         continue;
                     }
-                    WeakFate::Updated if self.weak_instance.get().is_some() => {
-                        let inst = self.weak_instance.get().expect("updated in place");
-                        let (next, _path) = incremental::refine_delta(
-                            inst,
-                            &prev,
-                            &weak_adds,
-                            &weak_removes,
-                            algorithm,
-                            threshold,
-                        );
-                        Some(next)
+                    WeakFate::Updated => {
+                        self.weak_instance.get().map(|inst| solve(inst, algorithm))
                     }
-                    _ => None,
+                    WeakFate::Dropped => None,
                 },
                 _ => match weak_fate {
                     WeakFate::Valid => {
@@ -1456,7 +1446,7 @@ mod tests {
     }
 
     #[test]
-    fn tau_touching_delta_rebuilds_weak_artifacts_but_delta_refines_strong() {
+    fn tau_touching_delta_rebuilds_weak_artifacts_but_resolves_strong() {
         let f = format::parse("trans p tau q\ntrans q a r\ntrans s a t\naccept r t").unwrap();
         let mut session = EquivSession::for_process(&f);
         session.classify_all(Equivalence::Strong);
@@ -1468,7 +1458,7 @@ mod tests {
         assert!(outcome.tau_touched);
         assert_eq!(outcome.partitions_delta_refined, 1, "the strong partition");
 
-        // Strong answers from the delta-refined cell — no new refinement —
+        // Strong answers from the re-solved cell — no new refinement —
         // while the weak side recomputes its closure lazily.
         session.classify_all(Equivalence::Strong);
         assert_eq!(session.refinements_run(), refinements);

@@ -158,9 +158,8 @@ impl Instance {
     /// first-class mutation.
     ///
     /// This is the batched sibling of [`Instance::add_edge`], and the entry
-    /// point the incremental engine
-    /// ([`DeltaRefiner`](crate::incremental::DeltaRefiner)) drives.  The
-    /// whole batch collapses into at most **one** relayout however many
+    /// point of a live session's mutation path, which patches its instances
+    /// here and then re-solves them.  The whole batch collapses into at most **one** relayout however many
     /// edges it carries: a pure-addition batch just extends the pending
     /// list (merged lazily by the next query, exactly like `add_edge`),
     /// while a batch with removals folds `base ∪ pending` and the edits

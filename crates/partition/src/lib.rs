@@ -24,7 +24,11 @@
 //! Element, label and block identities are packed 32-bit newtypes (see
 //! [`ids`]), which halves the hot working set on 64-bit targets; ground sets
 //! beyond the packed range are rejected at construction with an
-//! [`IdOverflow`] rather than truncated.
+//! [`IdOverflow`] rather than truncated.  Instances are patchable:
+//! [`Instance::apply_delta`] folds an edge batch into the CSR with one
+//! relayout, and a live `ccs-equiv` session re-solves the patched instance
+//! from scratch — no solver here repairs an old partition, since an edit
+//! can coarsen the solution and refinement only ever splits.
 //!
 //! Four solvers are provided for the generalized problem:
 //!
@@ -86,7 +90,6 @@ pub mod dfa_equiv;
 pub mod graph;
 pub mod hopcroft;
 pub mod ids;
-pub mod incremental;
 mod instance;
 pub mod kanellakis_smolka;
 pub mod naive;
@@ -97,7 +100,6 @@ mod union_find;
 pub use dfa::Dfa;
 pub use graph::{GraphBuilder, LabeledGraph};
 pub use ids::{BlockId, IdOverflow, LabelId, StateId};
-pub use incremental::{DeltaPath, DeltaRefiner, DeltaStats, EdgeDelta};
 pub use instance::Instance;
 pub use partition::Partition;
 pub use union_find::UnionFind;

@@ -1,113 +1,67 @@
-//! The batching layer: concurrent pair queries on the same
-//! `(session, notion)` coalesce into **one** `classify_all` refinement.
+//! The classification layer: every `pair`, `classify` and `partition` query
+//! on a refinement-backed notion reads the session's memoized partition.
 //!
-//! The session engine already single-flights its partition memo (racing
-//! callers of [`EquivSession::classify_all`] block on one `OnceLock`), so
-//! correctness never depends on this layer.  What the [`Coalescer`] adds is
-//! the *service-level* grouping and its observability: every pair query
-//! joins a group keyed by `(session handle, notion)`; the first member of a
-//! group runs the classification, everyone else shares the resulting
-//! partition; and the server's `stats` op reports how many queries were
-//! served, how many batches actually computed, and the largest group —
-//! evidence that `m` concurrent queries cost one refinement, not `m`.
+//! The session engine single-flights its partition memo: racing callers of
+//! [`EquivSession::classify_all`] block on one per-notion `OnceLock`, so
+//! `m` concurrent queries on one `(session, notion)` cost one refinement,
+//! and the registry's `refinements` counter is the evidence.  The memo is
+//! keyed by the session object itself, so a `mutate` that swaps a rebuilt
+//! session in under the same handle can never hand a later query the old
+//! session's partition.  The [`Coalescer`] adds only the served-query
+//! counter that the server's `stats` op reports as `pair_queries`.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::Arc;
 
 use ccs_equiv::{EquivSession, Equivalence};
 use ccs_fsp::StateId;
 use ccs_partition::Partition;
 
-#[derive(Debug, Default)]
-struct Group {
-    cell: OnceLock<Arc<Partition>>,
-    members: AtomicUsize,
-}
-
-/// Coalesces concurrent classification demand per `(session, notion)`.
+/// Answers classification demand from the session's single-flight memo and
+/// counts the pair queries it served.
 #[derive(Debug, Default)]
 pub struct Coalescer {
-    groups: Mutex<HashMap<(String, Equivalence), Arc<Group>>>,
     queries: AtomicUsize,
-    batches: AtomicUsize,
-    peak_group: AtomicUsize,
-}
-
-/// Counters reported by the server's `stats` op.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct CoalescerStats {
-    /// Pair queries served through the batching layer.
-    pub pair_queries: usize,
-    /// Classifications that actually executed (group leaders).
-    pub batches: usize,
-    /// Largest number of queries that shared one group.
-    pub peak_group: usize,
 }
 
 impl Coalescer {
-    /// A fresh coalescer with zeroed counters.
+    /// A fresh coalescer with a zeroed counter.
     #[must_use]
     pub fn new() -> Self {
         Coalescer::default()
     }
 
-    /// The `notion`-partition of `session`, grouped under the session's
-    /// `handle`: concurrent callers with the same key share one
-    /// computation.
+    /// The `notion`-partition of `session`, i.e.
+    /// [`EquivSession::classify_all`]: concurrent callers share one
+    /// computation through the session's own memo.  `_handle`, the
+    /// session's registry handle, is not a cache key.
     pub fn classify(
         &self,
-        handle: &str,
+        _handle: &str,
         session: &EquivSession,
         notion: Equivalence,
     ) -> Arc<Partition> {
-        let key = (handle.to_owned(), notion);
-        let group = {
-            let mut groups = self.groups.lock().expect("coalescer lock poisoned");
-            Arc::clone(groups.entry(key.clone()).or_default())
-        };
-        let members = group.members.fetch_add(1, Ordering::SeqCst) + 1;
-        self.peak_group.fetch_max(members, Ordering::SeqCst);
-        let partition = Arc::clone(group.cell.get_or_init(|| {
-            self.batches.fetch_add(1, Ordering::SeqCst);
-            session.classify_all(notion)
-        }));
-        // Last member out dissolves the group so a later wave starts fresh
-        // (its leader then hits the session's partition cache, costing no
-        // second refinement).
-        if group.members.fetch_sub(1, Ordering::SeqCst) == 1 {
-            let mut groups = self.groups.lock().expect("coalescer lock poisoned");
-            if let Some(current) = groups.get(&key) {
-                if Arc::ptr_eq(current, &group) {
-                    groups.remove(&key);
-                }
-            }
-        }
-        partition
+        session.classify_all(notion)
     }
 
-    /// Answers one pair query from the coalesced partition.
+    /// Answers one pair query from the session's partition.
     pub fn pair(
         &self,
-        handle: &str,
         session: &EquivSession,
         notion: Equivalence,
         p: StateId,
         q: StateId,
     ) -> bool {
-        self.queries.fetch_add(1, Ordering::SeqCst);
-        self.classify(handle, session, notion)
+        self.queries.fetch_add(1, Ordering::Relaxed);
+        session
+            .classify_all(notion)
             .same_block(p.index(), q.index())
     }
 
-    /// Point-in-time counters.
+    /// Pair queries served so far.
     #[must_use]
-    pub fn stats(&self) -> CoalescerStats {
-        CoalescerStats {
-            pair_queries: self.queries.load(Ordering::SeqCst),
-            batches: self.batches.load(Ordering::SeqCst),
-            peak_group: self.peak_group.load(Ordering::SeqCst),
-        }
+    pub fn pair_queries(&self) -> usize {
+        self.queries.load(Ordering::Relaxed)
     }
 }
 
@@ -133,33 +87,25 @@ mod tests {
                 let (coalescer, session) = (&coalescer, &session);
                 scope.spawn(move || {
                     for _ in 0..50 {
-                        assert!(coalescer.pair("s1", session, Equivalence::Observational, p, s));
-                        assert!(!coalescer.pair("s1", session, Equivalence::Observational, p, r));
+                        assert!(coalescer.pair(session, Equivalence::Observational, p, s));
+                        assert!(!coalescer.pair(session, Equivalence::Observational, p, r));
                     }
                 });
             }
         });
-        let stats = coalescer.stats();
-        assert_eq!(stats.pair_queries, 8 * 100);
-        // The underlying session ran the refinement exactly once; the
-        // coalescer may have formed several short-lived groups (each later
-        // leader hits the session cache), but never more batches than
-        // queries and at least one.
+        assert_eq!(coalescer.pair_queries(), 8 * 100);
         assert_eq!(session.refinements_run(), 1);
-        assert!(stats.batches >= 1);
     }
 
     #[test]
-    fn distinct_notions_form_distinct_batches() {
+    fn distinct_notions_run_distinct_refinements() {
         let session = session();
         let coalescer = Coalescer::new();
         let p = session.fsp().state_by_name("p").unwrap();
         let q = session.fsp().state_by_name("q").unwrap();
-        let _ = coalescer.pair("s1", &session, Equivalence::Strong, p, q);
-        let _ = coalescer.pair("s1", &session, Equivalence::Observational, p, q);
-        let stats = coalescer.stats();
-        assert_eq!(stats.batches, 2);
-        assert_eq!(stats.pair_queries, 2);
-        assert!(stats.peak_group >= 1);
+        let _ = coalescer.pair(&session, Equivalence::Strong, p, q);
+        let _ = coalescer.pair(&session, Equivalence::Observational, p, q);
+        assert_eq!(session.refinements_run(), 2);
+        assert_eq!(coalescer.pair_queries(), 2);
     }
 }

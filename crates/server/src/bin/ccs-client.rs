@@ -59,14 +59,12 @@ fn stats(addr: &str) -> Result<(), ClientError> {
     let stats = client.stats()?;
     println!(
         "sessions={} resident_bytes={} evictions={} refinements={} \
-         pair_queries={} batches={} peak_batch={}",
+         pair_queries={}",
         stats.sessions,
         stats.resident_bytes,
         stats.evictions,
         stats.refinements,
         stats.pair_queries,
-        stats.batches,
-        stats.peak_batch,
     );
     Ok(())
 }
@@ -204,8 +202,8 @@ fn demo(addr: &str) -> Result<(), ClientError> {
 
     let stats = client.stats()?;
     println!(
-        "server stats: sessions={} refinements={} pair_queries={} batches={}",
-        stats.sessions, stats.refinements, stats.pair_queries, stats.batches
+        "server stats: sessions={} refinements={} pair_queries={}",
+        stats.sessions, stats.refinements, stats.pair_queries
     );
     println!("demo OK");
     Ok(())

@@ -11,9 +11,9 @@
 //! * [`registry`] — named, shareable sessions (`Arc<EquivSession>`; the
 //!   session engine is `Sync`) with LRU eviction under a resident-byte
 //!   budget.
-//! * [`batch`] — the coalescing layer: concurrent pair queries on one
-//!   `(session, notion)` share a single `classify_all` refinement, with
-//!   counters proving it.
+//! * [`batch`] — the classification layer: concurrent pair queries on one
+//!   `(session, notion)` share a single `classify_all` refinement through
+//!   the session's single-flight memo.
 //! * [`protocol`] — the request/response vocabulary and dispatch
 //!   ([`Service::handle_line`]: one JSON line in, one JSON line out).
 //! * [`server`] — the `std::net` front end, one thread per connection.
@@ -48,7 +48,7 @@ pub mod protocol;
 pub mod registry;
 pub mod server;
 
-pub use batch::{Coalescer, CoalescerStats};
+pub use batch::Coalescer;
 pub use client::{Client, ClientError, OpenedSession, ServerStats};
 pub use json::Json;
 pub use protocol::Service;

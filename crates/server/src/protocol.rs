@@ -25,7 +25,7 @@ use crate::json::{self, Json};
 use crate::registry::{Registry, RegistryConfig};
 
 /// The shared, thread-safe request handler: a [`Registry`] of sessions plus
-/// the [`Coalescer`] batching layer.  One `Service` serves every connection
+/// the [`Coalescer`] that answers and counts pair queries.  One `Service` serves every connection
 /// of a server; it is also usable directly (no socket) for in-process
 /// embedding and tests.
 #[derive(Debug)]
@@ -56,7 +56,7 @@ impl Service {
         &self.registry
     }
 
-    /// The batching layer (exposed for embedding and tests).
+    /// The pair-query layer (exposed for embedding and tests).
     #[must_use]
     pub fn coalescer(&self) -> &Coalescer {
         &self.coalescer
@@ -137,7 +137,7 @@ impl Service {
     }
 
     fn op_pair(&self, request: &Json) -> Result<Json, EquivError> {
-        let (handle, session) = self.session_of(request)?;
+        let session = self.session_of(request)?;
         let notion = notion_field(request)?;
         let p = state_field(&session, request, "left")?;
         let q = state_field(&session, request, "right")?;
@@ -170,7 +170,7 @@ impl Service {
             }
             return Ok(Json::obj(fields));
         }
-        let equivalent = self.coalescer.pair(&handle, &session, notion, p, q);
+        let equivalent = self.coalescer.pair(&session, notion, p, q);
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("equivalent", Json::Bool(equivalent)),
@@ -180,9 +180,9 @@ impl Service {
     }
 
     fn op_classify(&self, request: &Json) -> Result<Json, EquivError> {
-        let (handle, session) = self.session_of(request)?;
+        let session = self.session_of(request)?;
         let notion = notion_field(request)?;
-        let partition = self.coalescer.classify(&handle, &session, notion);
+        let partition = session.classify_all(notion);
         let fsp = session.fsp();
         let blocks: Vec<Json> = partition
             .blocks()
@@ -205,9 +205,9 @@ impl Service {
     }
 
     fn op_partition(&self, request: &Json) -> Result<Json, EquivError> {
-        let (handle, session) = self.session_of(request)?;
+        let session = self.session_of(request)?;
         let notion = notion_field(request)?;
-        let partition = self.coalescer.classify(&handle, &session, notion);
+        let partition = session.classify_all(notion);
         let fsp = session.fsp();
         let assignment = partition
             .assignment()
@@ -257,23 +257,18 @@ impl Service {
 
     fn op_stats(&self) -> Json {
         let registry = self.registry.stats();
-        let coalescer = self.coalescer.stats();
         Json::obj([
             ("ok", Json::Bool(true)),
             ("sessions", as_num(registry.sessions)),
             ("resident_bytes", as_num(registry.resident_bytes)),
             ("evictions", as_num(registry.evictions)),
             ("refinements", as_num(registry.refinements)),
-            ("pair_queries", as_num(coalescer.pair_queries)),
-            ("batches", as_num(coalescer.batches)),
-            ("peak_batch", as_num(coalescer.peak_group)),
+            ("pair_queries", as_num(self.coalescer.pair_queries())),
         ])
     }
 
-    fn session_of(&self, request: &Json) -> Result<(String, Arc<EquivSession>), EquivError> {
-        let id = str_field(request, "session")?;
-        let session = self.registry.get(id)?;
-        Ok((id.to_owned(), session))
+    fn session_of(&self, request: &Json) -> Result<Arc<EquivSession>, EquivError> {
+        self.registry.get(str_field(request, "session")?)
     }
 }
 

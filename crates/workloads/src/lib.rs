@@ -19,10 +19,8 @@
 //!   `weak_pipeline` bench;
 //! * [`mutating_queries`] — base model × edit stream × query mix: disjoint
 //!   gadget copies with a seed-deterministic toggle sequence of
-//!   class-redundant and refining edits, at both the process level (for
-//!   `EquivSession::apply_delta` and the server's `mutate` op) and the
-//!   partition-kernel level (for `DeltaRefiner` and the DELTA report
-//!   table);
+//!   class-redundant and refining edits (for `EquivSession::apply_delta`
+//!   and the server's `mutate` op);
 //! * [`protocols`] — a documented distributed-protocols corpus
 //!   (alternating-bit, ring leader election, two-phase commit, plus broken
 //!   variants) with parallel components, hiding sets and observable

@@ -1,27 +1,25 @@
 //! Mutating-query workloads: a base model, a deterministic edit stream, and
-//! a query mix — the input shape of the incremental maintenance path
-//! (`ccs_partition::incremental`, `EquivSession::apply_delta`, the server's
-//! `mutate` op) and of the report's DELTA table.
+//! a query mix — the input shape of the live-mutation path
+//! (`EquivSession::apply_delta`, which patches the session's instances and
+//! re-solves their cached partitions, and the server's `mutate` op).
 //!
 //! The base model is a union of disjoint copies of one small gadget, which
 //! keeps the interesting structure *local*: an edit batch touches a couple
-//! of copies, so the delta path seeds a handful of splitter blocks while a
-//! from-scratch rebuild still has to refine the whole union.  The edit
-//! stream is a seed-deterministic toggle sequence with two flavours per
-//! copy:
+//! of copies, so most weak rows, the subset arena and the τ-closure survive
+//! it.  The edit stream is a seed-deterministic toggle sequence with two
+//! flavours per copy:
 //!
 //! * a **class-redundant** toggle — an edge into a block the source already
-//!   reaches under the same label, so the coarsest partition is unchanged
-//!   and the certificate check confirms the seeded fixpoint directly; and
+//!   reaches under the same label, so the coarsest partition is unchanged;
+//!   and
 //! * a **refining** toggle (a back edge that makes one copy distinguishable
-//!   from its siblings) — the splits are real, and undoing it coarsens, so
-//!   the quotient fallback gets exercised too.
+//!   from its siblings) — the splits are real, and undoing it coarsens the
+//!   partition again.
 //!
 //! Every generator is pure in its arguments; two calls with the same seed
 //! produce identical workloads, batch for batch.
 
 use ccs_fsp::{Fsp, Label, StateId};
-use ccs_partition::Instance;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -40,10 +38,6 @@ pub struct EditBatch<E> {
     /// Edges to delete (ignored by the appliers when already absent).
     pub removals: Vec<E>,
 }
-
-/// An [`EditBatch`] over kernel-level `(label, from, to)` index triples —
-/// the edge currency of [`ccs_partition::EdgeDelta`].
-pub type KernelEditBatch = EditBatch<(usize, usize, usize)>;
 
 impl<E> EditBatch<E> {
     /// Total number of edits named by the batch.
@@ -147,38 +141,6 @@ pub fn mutating_workload(
     }
 }
 
-/// The same workload at the partition-kernel level: the gadget union as a
-/// generalized-partitioning [`Instance`] (labels `0 = a`, `1 = b`,
-/// accepting copies split off by the initial partition) plus the edit
-/// stream as `(label, from, to)` index triples — the direct input of
-/// [`ccs_partition::DeltaRefiner`] and the DELTA report table.
-/// Deterministic in `seed`.
-///
-/// # Panics
-///
-/// Panics if `copies == 0`.
-#[must_use]
-pub fn mutating_instance(
-    copies: usize,
-    batches: usize,
-    edits_per_batch: usize,
-    seed: u64,
-) -> (Instance, Vec<KernelEditBatch>) {
-    assert!(copies > 0, "need at least one gadget copy");
-    let mut inst = Instance::new(copies * GADGET_STATES, 2);
-    inst.reserve_edges(copies * 3);
-    for c in 0..copies {
-        let base = c * GADGET_STATES;
-        inst.add_edge(0, base, base + 1);
-        inst.add_edge(1, base + 1, base + 2);
-        inst.add_edge(1, base + 3, base + 2);
-        // Mirror the acceptance split of the process-level model: the
-        // accepting h2 starts in its own block.
-        inst.set_initial_block(base + 2, 1);
-    }
-    (inst, edit_stream(copies, batches, edits_per_batch, seed))
-}
-
 /// The shared toggle stream: per batch, `edits_per_batch` distinct copies
 /// are drawn; each contributes its redundant toggle (or, one draw in four,
 /// its refining toggle) as an addition if the edge is currently absent and
@@ -188,7 +150,7 @@ fn edit_stream(
     batches: usize,
     edits_per_batch: usize,
     seed: u64,
-) -> Vec<KernelEditBatch> {
+) -> Vec<EditBatch<(usize, usize, usize)>> {
     let mut rng = StdRng::seed_from_u64(seed);
     // Toggle state per (copy, flavour): false = absent.
     let mut present = vec![[false; 2]; copies];
@@ -220,7 +182,6 @@ fn edit_stream(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_partition::{solve, Algorithm, DeltaRefiner};
 
     #[test]
     fn workloads_are_deterministic_in_the_seed() {
@@ -236,40 +197,23 @@ mod tests {
     }
 
     #[test]
-    fn instance_stream_drives_the_delta_refiner_to_oracle_agreement() {
-        let (inst, batches) = mutating_instance(12, 10, 2, 7);
-        let mut refiner = DeltaRefiner::with_threshold(inst, Algorithm::PaigeTarjan, 1.0);
-        for batch in &batches {
-            let delta = ccs_partition::EdgeDelta {
-                additions: batch.additions.clone(),
-                removals: batch.removals.clone(),
-            };
-            refiner.apply(&delta);
-            let oracle = solve(refiner.instance(), Algorithm::PaigeTarjan);
-            assert_eq!(refiner.partition(), &oracle);
-        }
-        let stats = refiner.stats();
-        assert_eq!(stats.batches, batches.len());
-    }
-
-    #[test]
     fn redundant_toggles_leave_the_partition_unchanged() {
-        let (inst, _) = mutating_instance(4, 0, 0, 0);
-        let before = solve(&inst, Algorithm::PaigeTarjan);
-        let mut edited = inst.clone();
-        let (l, f, t) = toggles(2)[0];
-        edited.apply_delta(&[(l, f, t)], &[]);
-        let after = solve(&edited, Algorithm::PaigeTarjan);
-        assert_eq!(before.num_blocks(), after.num_blocks());
-    }
-
-    #[test]
-    fn process_and_instance_models_agree_block_for_block() {
-        let wl = mutating_workload(6, 0, 0, 0, 1);
-        let (inst, _) = mutating_instance(6, 0, 0, 1);
-        let session = ccs_equiv::EquivSession::for_process(&wl.fsp);
-        let strong = session.classify_all(ccs_equiv::Equivalence::Strong);
-        let kernel = solve(&inst, Algorithm::PaigeTarjan);
-        assert_eq!(strong.as_ref(), &kernel);
+        let wl = mutating_workload(4, 0, 0, 0, 0);
+        let strong = |fsp: &Fsp| {
+            ccs_equiv::EquivSession::for_process(fsp).classify_all(ccs_equiv::Equivalence::Strong)
+        };
+        let before = strong(&wl.fsp);
+        let (_, from, to) = toggles(2)[0];
+        let a = wl.fsp.action_id("a").expect("gadget alphabet");
+        let mut edited = wl.fsp.clone();
+        edited.apply_edge_delta(
+            &[(
+                StateId::from_index(from),
+                Label::Act(a),
+                StateId::from_index(to),
+            )],
+            &[],
+        );
+        assert_eq!(before.num_blocks(), strong(&edited).num_blocks());
     }
 }

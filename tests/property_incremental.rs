@@ -1,14 +1,12 @@
-//! Cross-crate property tests for incremental partition maintenance: random
-//! edit streams drive a [`DeltaRefiner`] per solver (every entry of
-//! [`Algorithm::ALL`]) and the session-level `apply_delta` path, asserting
-//! after every step that the maintained state is block-for-block identical
-//! to a from-scratch rebuild — partitions via the kernel oracle, verdicts via
-//! `classify_all` against a fresh [`EquivSession`].
+//! Cross-crate property tests for live mutation: random edit streams drive
+//! the session-level `apply_delta` path (instances patched in place, cached
+//! partitions re-solved), asserting after every step that the maintained
+//! session is block-for-block identical to a fresh [`EquivSession`] over the
+//! mutated process.
 
 use ccs_equiv::{EquivSession, Equivalence};
 use ccs_fsp::{Label, StateId};
-use ccs_partition::{solve, Algorithm, DeltaRefiner, EdgeDelta};
-use ccs_workloads::{instances, mutating_queries, random, RandomConfig};
+use ccs_workloads::{mutating_queries, random, RandomConfig};
 use proptest::prelude::*;
 
 /// A deterministic xorshift stream, so a failing case shrinks to a seed.
@@ -17,56 +15,6 @@ fn xorshift(seed: &mut u64) -> u64 {
     *seed ^= *seed >> 7;
     *seed ^= *seed << 17;
     *seed
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Random single-edit-to-small-batch streams over random instances:
-    /// every engine's refiner stays equal to a from-scratch solve of its
-    /// own mutated instance after every batch.
-    #[test]
-    fn every_engine_tracks_the_from_scratch_oracle(
-        n in 2usize..24,
-        labels in 1usize..3,
-        density in 0usize..4,
-        mut seed in 1u64..1_000_000,
-    ) {
-        let inst = instances::random(n, labels, density * n, seed);
-        let mut refiners: Vec<DeltaRefiner> = Algorithm::ALL
-            .iter()
-            .map(|&alg| DeltaRefiner::with_threshold(inst.clone(), alg, 1.0))
-            .collect();
-        for _ in 0..4 {
-            let edits = 1 + (xorshift(&mut seed) % 3) as usize;
-            let mut delta = EdgeDelta::default();
-            for _ in 0..edits {
-                let edge = (
-                    (xorshift(&mut seed) % labels as u64) as usize,
-                    (xorshift(&mut seed) % n as u64) as usize,
-                    (xorshift(&mut seed) % n as u64) as usize,
-                );
-                if xorshift(&mut seed) % 3 == 0 {
-                    delta.removals.push(edge);
-                } else {
-                    delta.additions.push(edge);
-                }
-            }
-            for refiner in &mut refiners {
-                refiner.apply(&delta);
-            }
-            let oracle = solve(refiners[0].instance(), Algorithm::PaigeTarjan);
-            prop_assert!(refiners[0].instance().is_consistent_stable(&oracle));
-            for (refiner, alg) in refiners.iter().zip(Algorithm::ALL) {
-                prop_assert_eq!(
-                    refiner.partition(),
-                    &oracle,
-                    "{} diverged from the from-scratch oracle",
-                    alg
-                );
-            }
-        }
-    }
 }
 
 /// Classifies under a battery of notions on both the mutated session and a
@@ -114,7 +62,7 @@ proptest! {
     }
 
     /// Random edit streams over random τ-bearing processes: exercises the
-    /// τ-touching rebuild path and the strong-only delta refresh.
+    /// τ-touching rebuild path and the strong-only re-solve.
     #[test]
     fn session_deltas_match_fresh_sessions_on_tau_streams(
         states in 2usize..16,
