@@ -71,18 +71,22 @@
 //! exhibits and the differential oracles (Kanellakis–Smolka smaller-half
 //! and both-halves, the naive method) build sessions that way.  Every
 //! solver returns the same canonical partition, so the solver is not part
-//! of the memo key, and [`EquivSession::apply_delta`] re-solves cached
-//! partitions with the same solver.
+//! of the memo key, and a session built by [`EquivSession::with_delta`]
+//! keeps its parent's solver.
 //!
 //! # Live mutation
 //!
-//! [`EquivSession::apply_delta`] edits the owned process and keeps what the
-//! edit cannot have changed: it patches the strong and weak instances in
-//! place ([`Instance::apply_delta`]), resplices the saturated view, keeps
-//! the τ-closure on τ-free batches and the subset arena outside the edit's
-//! backward cone, and re-solves each cached `Strong`/`Observational`
-//! partition over its patched instance.  There is no second refinement
-//! engine for deltas: the re-solve is the session's own solver.
+//! A session never changes its process.  [`EquivSession::with_delta`] is a
+//! functional update: it applies an edge batch to a copy of the process
+//! and returns a new session over it, leaving `self` (and every query
+//! still running on it) untouched.  The new session starts cold except
+//! for the τ-closure, which it shares with its parent when the batch
+//! touched no τ-edge, since `⇒ε` depends on τ-edges alone.  Everything
+//! else — saturated view, instances, subset arena, partitions — is rebuilt
+//! lazily by the first query that needs it.  That is exact by
+//! construction, and the pipeline of Theorems 3.1 and 4.1(a) is cheap
+//! enough per artifact that repairing old artifacts in place would not pay
+//! for its code.
 //!
 //! # Amortized cost
 //!
@@ -107,7 +111,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-use ccs_fsp::saturate::{tau_closure, weak_edges, SaturatedView, TauClosure, WeakRows};
+use ccs_fsp::saturate::{tau_closure, weak_edges, SaturatedView, TauClosure};
 use ccs_fsp::{ActionId, Fsp, Label, StateId};
 use ccs_partition::{solve, Algorithm, GraphBuilder, Instance, Partition};
 
@@ -130,32 +134,28 @@ struct DetState {
     pair_caches: HashMap<DetNotion, PairCache>,
 }
 
-/// What one [`EquivSession::apply_delta`] batch did to the session's
-/// caches — which artifacts were repaired in place and which were dropped
-/// for lazy rebuild.  Returned for diagnostics and asserted on by the
-/// mutation-path tests; callers that only want the mutated session can
-/// ignore it.
+/// What one [`EquivSession::with_delta`] batch did: the effective edits
+/// and what the new session could not inherit.  Returned for diagnostics
+/// and reported by the server's `mutate` op.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionDeltaOutcome {
     /// Edges that were genuinely added (absent before the batch).
     pub effective_additions: usize,
     /// Edges that were genuinely removed (present before the batch).
     pub effective_removals: usize,
-    /// The batch touched τ-transitions, so the closure and every weak
-    /// artifact derived from it were dropped for lazy rebuild.
+    /// The batch touched τ-transitions, so the new session does not share
+    /// its parent's τ-closure.
     pub tau_touched: bool,
-    /// States whose weak action rows actually changed (0 when the batch is
-    /// weak-redundant — every artifact then survives untouched).
+    /// Always 0: no weak row is diffed any more.  Kept only because the
+    /// benchmark's trace replay reads it; it goes together with that
+    /// reader.
     pub weak_rows_changed: usize,
-    /// The cached [`SaturatedView`] was respliced in place rather than
-    /// rebuilt.
-    pub view_patched: bool,
-    /// The subset arena (and its pair caches) had to be dropped because an
-    /// interned subset could reach a changed weak row.
+    /// The batch changed the process and the parent session had a subset
+    /// arena, which the new session does not inherit.
     pub arena_dropped: bool,
-    /// Cached partitions that were re-solved in place over their patched
-    /// instance (the name predates the re-solve; it is also the `mutate`
-    /// wire field).
+    /// Always 0: no partition is re-solved on mutation.  Kept only because
+    /// the benchmark's trace replay reads it; it goes together with that
+    /// reader.
     pub partitions_delta_refined: usize,
 }
 
@@ -163,9 +163,11 @@ pub struct SessionDeltaOutcome {
 ///
 /// All artifacts are computed lazily on first use and cached for the
 /// session's lifetime; the process itself is immutable once the session is
-/// created, which is what makes the caching sound.  The query path takes
-/// `&self` throughout, so a session wrapped in an [`Arc`] serves concurrent
-/// threads (see the [module docs](self) for the locking layout).
+/// created (an edit builds a new session, see
+/// [`EquivSession::with_delta`]), which is what makes the caching sound.
+/// The query path takes `&self` throughout, so a session wrapped in an
+/// [`Arc`] serves concurrent threads (see the [module docs](self) for the
+/// locking layout).
 ///
 /// ```
 /// use ccs_equiv::{EquivSession, Equivalence};
@@ -184,7 +186,9 @@ pub struct SessionDeltaOutcome {
 #[derive(Debug)]
 pub struct EquivSession {
     fsp: Fsp,
-    closure: OnceLock<TauClosure>,
+    /// Shared by `Arc` with the sessions [`EquivSession::with_delta`]
+    /// derives over τ-free edits.
+    closure: OnceLock<Arc<TauClosure>>,
     view: OnceLock<SaturatedView>,
     strong_instance: OnceLock<Instance>,
     weak_instance: OnceLock<Instance>,
@@ -200,12 +204,12 @@ pub struct EquivSession {
     /// Number of partition computations that actually executed (cache
     /// misses) — the coalescing evidence read by `refinements_run`.
     refinements: AtomicUsize,
-    /// Number of times the τ-closure was computed from scratch.  Stays at
-    /// one across τ-free [`EquivSession::apply_delta`] batches — the
-    /// counter the mutation-path retention tests observe.
+    /// Number of times the τ-closure was computed from scratch, carried
+    /// over by [`EquivSession::with_delta`] — the counter the closure-sharing
+    /// tests observe.
     closure_builds: AtomicUsize,
     /// The refinement solver every partition of this session is computed
-    /// (and re-solved after a delta) with, fixed at construction.
+    /// with, fixed at construction.
     algorithm: Algorithm,
 }
 
@@ -255,14 +259,14 @@ impl EquivSession {
     pub fn tau_closure(&self) -> &TauClosure {
         self.closure.get_or_init(|| {
             self.closure_builds.fetch_add(1, Ordering::Relaxed);
-            tau_closure(&self.fsp)
+            Arc::new(tau_closure(&self.fsp))
         })
     }
 
-    /// Number of from-scratch τ-closure computations this session has run.
-    /// A τ-free [`EquivSession::apply_delta`] keeps the cached closure, so
-    /// the counter does not move; a τ-touching batch drops it and the next
-    /// weak query bumps the count.
+    /// Number of from-scratch τ-closure computations this session and the
+    /// sessions it was derived from by [`EquivSession::with_delta`] have
+    /// run.  A τ-free batch shares the cached closure, so the counter does
+    /// not move; after a τ-touching batch the next weak query bumps it.
     #[must_use]
     pub fn closure_builds(&self) -> usize {
         self.closure_builds.load(Ordering::Relaxed)
@@ -425,8 +429,10 @@ impl EquivSession {
         }))
     }
 
-    /// The memoized partition for `notion`, if some call already computed it.
-    fn cached_partition(&self, notion: Equivalence) -> Option<Arc<Partition>> {
+    /// The memoized partition for `notion`, if some call already computed
+    /// it.  Computes nothing.
+    #[must_use]
+    pub fn cached_partition(&self, notion: Equivalence) -> Option<Arc<Partition>> {
         let map = self.partitions.lock().expect("partitions lock poisoned");
         map.get(&notion).and_then(|cell| cell.get()).cloned()
     }
@@ -649,313 +655,54 @@ impl EquivSession {
         self.refinements.load(Ordering::Relaxed)
     }
 
-    /// Applies an edge batch — removals first, then additions — to the
-    /// owned process and repairs the session's caches instead of dropping
-    /// them wholesale: the instances are patched, then re-solved.
+    /// Returns a new session over this session's process with an edge batch
+    /// applied — removals first, then additions, as in
+    /// [`Fsp::apply_edge_delta`] — plus the batch's [`SessionDeltaOutcome`].
     ///
-    /// * **τ-free batches keep the τ-closure.**  `⇒ε` only depends on
-    ///   τ-edges, so the cached [`TauClosure`] (and the
-    ///   [`EquivSession::closure_builds`] counter) survive.  The weak
-    ///   action rows that *might* have changed are exactly those of states
-    ///   that τ-reach an edited source; their old rows are captured before
-    ///   the mutation and diffed against the recomputed ones.
-    /// * **Weak-redundant batches keep everything.**  If no weak row
-    ///   changed, the saturated view, the weak instance, the `≃ₖ`
-    ///   hierarchy, the subset arena and every non-strong partition are
-    ///   bit-for-bit still correct and stay put.
-    /// * **Dirty rows are respliced, not rebuilt.**  Otherwise the view is
-    ///   [patched](SaturatedView::patched) in place, the weak CSR takes the
-    ///   row diff through [`Instance::apply_delta`], and cached
-    ///   `Strong`/`Observational` partitions are re-solved from scratch over
-    ///   the patched instance with the session's solver.  An edit can
-    ///   coarsen the solution, which no sequence of splits of the old
-    ///   partition reaches, so the old partition is not reused.
-    /// * **The subset arena survives when the edit cannot reach it.**  A
-    ///   determinized verdict depends on the forward cone of its subsets;
-    ///   the arena (and its pair caches) are kept iff no interned subset
-    ///   intersects the backward reachability cone of the dirty states over
-    ///   the old-plus-new edges — the cone's complement is successor-closed,
-    ///   so every retained exploration replays identically.
-    /// * **τ-touching batches drop the weak artifacts** for lazy rebuild
-    ///   (the closure itself changed); cached strong partitions are still
-    ///   re-solved over the patched strong instance, since Lemma 3.1 needs
-    ///   no saturation.
-    ///
-    /// Takes `&mut self` — mutate between query phases, not mid-query; the
-    /// `ccs-server` registry unshares a session before calling this.
+    /// `self` is not touched, so queries running on it finish against the
+    /// pre-edit process.  The new session uses the same solver and starts
+    /// cold, except that a τ-free batch shares the cached τ-closure (and
+    /// carries over [`EquivSession::closure_builds`]): `⇒ε` depends on
+    /// τ-edges alone.  Every other artifact, partitions included, is
+    /// rebuilt lazily by the first query that needs it.
     ///
     /// # Panics
     ///
     /// Panics if an edge names a state or action outside the process —
     /// a mutation rewires `Δ` over the existing state space and alphabet.
-    pub fn apply_delta(
-        &mut self,
+    #[must_use]
+    pub fn with_delta(
+        &self,
         additions: &[(StateId, Label, StateId)],
         removals: &[(StateId, Label, StateId)],
-    ) -> SessionDeltaOutcome {
-        for &(from, label, to) in additions.iter().chain(removals) {
-            assert!(self.fsp.contains_state(from), "source state out of range");
-            assert!(self.fsp.contains_state(to), "target state out of range");
-            if let Label::Act(a) = label {
-                assert!(a.index() < self.fsp.num_actions(), "action out of range");
-            }
+    ) -> (EquivSession, SessionDeltaOutcome) {
+        let mut fsp = self.fsp.clone();
+        let (added, removed) = fsp.apply_edge_delta(additions, removals);
+        let tau_touched = added
+            .iter()
+            .chain(&removed)
+            .any(|&(_, label, _)| label == Label::Tau);
+        let next = EquivSession::with_algorithm(fsp, self.algorithm);
+        next.closure_builds
+            .store(self.closure_builds(), Ordering::Relaxed);
+        if let (false, Some(closure)) = (tau_touched, self.closure.get()) {
+            let _ = next.closure.set(Arc::clone(closure));
         }
-        // Effective edits, computed read-only so the pre-mutation weak rows
-        // can still be captured below.  Removals lose ties to additions,
-        // mirroring `Fsp::apply_edge_delta`.
-        let mut eff_removed: Vec<(StateId, Label, StateId)> = removals
-            .iter()
-            .copied()
-            .filter(|e| !additions.contains(e))
-            .filter(|&(f, l, t)| self.fsp.has_transition(f, l, t))
-            .collect();
-        eff_removed.sort_unstable();
-        eff_removed.dedup();
-        let mut eff_added: Vec<(StateId, Label, StateId)> = additions
-            .iter()
-            .copied()
-            .filter(|&(f, l, t)| !self.fsp.has_transition(f, l, t))
-            .collect();
-        eff_added.sort_unstable();
-        eff_added.dedup();
-        let mut outcome = SessionDeltaOutcome {
-            effective_additions: eff_added.len(),
-            effective_removals: eff_removed.len(),
+        let changed = !(added.is_empty() && removed.is_empty());
+        // A query holding the lock is growing an arena right now; waiting
+        // for it would stall the update behind a PSPACE exploration.
+        let had_arena = self
+            .det
+            .try_lock()
+            .map_or(true, |det| det.automaton.is_some());
+        let outcome = SessionDeltaOutcome {
+            effective_additions: added.len(),
+            effective_removals: removed.len(),
+            tau_touched,
+            arena_dropped: changed && had_arena,
             ..SessionDeltaOutcome::default()
         };
-        if eff_added.is_empty() && eff_removed.is_empty() {
-            return outcome;
-        }
-        let tau_free = eff_added
-            .iter()
-            .chain(&eff_removed)
-            .all(|(_, l, _)| *l != Label::Tau);
-        outcome.tau_touched = !tau_free;
-
-        // Pre-mutation capture: for a τ-free batch the retained closure is
-        // still the mutated process's closure, so the only weak rows that
-        // can change belong to states that τ-reach an edited source.  Their
-        // old action rows are recomputed here (cheaper than cloning the
-        // whole view) while the old process is still in hand.
-        let closure_live = self.closure.get().is_some();
-        let weak_live = self.view.get().is_some()
-            || self.weak_instance.get().is_some()
-            || self
-                .limited
-                .get_mut()
-                .expect("limited lock poisoned")
-                .is_some()
-            || self
-                .det
-                .get_mut()
-                .expect("det lock poisoned")
-                .automaton
-                .is_some()
-            || self
-                .partitions
-                .get_mut()
-                .expect("partitions lock poisoned")
-                .iter()
-                .any(|(notion, cell)| {
-                    !matches!(notion, Equivalence::Strong) && cell.get().is_some()
-                });
-        // Per-candidate weak successor rows (one Vec per action), snapshotted
-        // before the edit so the weak instance can be row-diffed after it.
-        type OldRows = Vec<Vec<Vec<StateId>>>;
-        let pre_rows: Option<(Vec<StateId>, OldRows)> = if tau_free && closure_live && weak_live {
-            let closure = self.closure.get().expect("closure checked live");
-            let mut sources: Vec<StateId> = eff_added
-                .iter()
-                .chain(&eff_removed)
-                .map(|&(f, _, _)| f)
-                .collect();
-            sources.sort_unstable();
-            sources.dedup();
-            let candidates: Vec<StateId> = self
-                .fsp
-                .state_ids()
-                .filter(|&p| sources.iter().any(|&s| closure.reaches(p, s)))
-                .collect();
-            let mut scratch = WeakRows::new();
-            let rows = candidates
-                .iter()
-                .map(|&p| scratch.row(&self.fsp, closure, p).to_vec())
-                .collect();
-            Some((candidates, rows))
-        } else {
-            None
-        };
-
-        self.fsp.apply_edge_delta(additions, removals);
-
-        // Strong side: the Lemma 3.1 instance mirrors the direct relation
-        // edge for edge, so the effective sets map straight onto it.  The
-        // one wrinkle is a τ-edge appearing on a process that had none: the
-        // old instance has no τ label, so it (and its partitions) rebuild
-        // lazily instead.
-        let eps_label = self.fsp.num_actions();
-        let to_strong = |&(f, l, t): &(StateId, Label, StateId)| {
-            let label = match l {
-                Label::Act(a) => a.index(),
-                Label::Tau => eps_label,
-            };
-            (label, f.index(), t.index())
-        };
-        let strong_adds: Vec<(usize, usize, usize)> = eff_added.iter().map(to_strong).collect();
-        let strong_removes: Vec<(usize, usize, usize)> =
-            eff_removed.iter().map(to_strong).collect();
-        let strong_updated = if let Some(mut inst) = self.strong_instance.take() {
-            let fits = strong_adds
-                .iter()
-                .chain(&strong_removes)
-                .all(|&(l, _, _)| l < inst.num_labels());
-            if fits {
-                inst.apply_delta(&strong_adds, &strong_removes);
-                self.strong_instance
-                    .set(inst)
-                    .expect("strong instance slot just emptied");
-                true
-            } else {
-                false
-            }
-        } else {
-            false
-        };
-
-        // Weak side: three fates.  `Dropped` — the closure changed (or was
-        // never built alongside live weak artifacts), rebuild lazily.
-        // `Valid` — no weak row changed, keep everything.  `Updated` — the
-        // view is respliced, the weak CSR takes the row diff, dependents
-        // are retained exactly where the proof allows.
-        #[derive(PartialEq)]
-        enum WeakFate {
-            Dropped,
-            Valid,
-            Updated,
-        }
-        let mut weak_adds: Vec<(usize, usize, usize)> = Vec::new();
-        let mut weak_removes: Vec<(usize, usize, usize)> = Vec::new();
-        let weak_fate = if !tau_free {
-            self.closure = OnceLock::new();
-            self.view = OnceLock::new();
-            self.weak_instance = OnceLock::new();
-            *self.limited.get_mut().expect("limited lock poisoned") = None;
-            let det = self.det.get_mut().expect("det lock poisoned");
-            outcome.arena_dropped = det.automaton.is_some();
-            *det = DetState::default();
-            WeakFate::Dropped
-        } else if let Some((candidates, old_rows)) = pre_rows {
-            let closure = self.closure.get().expect("closure retained");
-            let mut dirty: Vec<StateId> = Vec::new();
-            let mut scratch = WeakRows::new();
-            for (&p, old_row) in candidates.iter().zip(&old_rows) {
-                let mut changed = false;
-                let new_row = scratch.row(&self.fsp, closure, p);
-                for (a, (new_col, old_col)) in new_row.iter().zip(old_row).enumerate() {
-                    if new_col != old_col {
-                        changed = true;
-                        for &q in new_col {
-                            if old_col.binary_search(&q).is_err() {
-                                weak_adds.push((a, p.index(), q.index()));
-                            }
-                        }
-                        for &q in old_col {
-                            if new_col.binary_search(&q).is_err() {
-                                weak_removes.push((a, p.index(), q.index()));
-                            }
-                        }
-                    }
-                }
-                if changed {
-                    dirty.push(p);
-                }
-            }
-            outcome.weak_rows_changed = dirty.len();
-            if dirty.is_empty() {
-                WeakFate::Valid
-            } else {
-                if let Some(view) = self.view.take() {
-                    let patched = view.patched(&self.fsp, closure, &dirty);
-                    self.view.set(patched).expect("view slot just emptied");
-                    outcome.view_patched = true;
-                }
-                if let Some(mut inst) = self.weak_instance.take() {
-                    inst.apply_delta(&weak_adds, &weak_removes);
-                    self.weak_instance
-                        .set(inst)
-                        .expect("weak instance slot just emptied");
-                }
-                *self.limited.get_mut().expect("limited lock poisoned") = None;
-                let det = self.det.get_mut().expect("det lock poisoned");
-                if let Some(auto) = det.automaton.as_ref() {
-                    let in_cone = backward_reach(&self.fsp, &eff_removed, &dirty);
-                    let affected = (0..auto.num_subsets()).any(|i| {
-                        let id = u32::try_from(i).expect("arena ids are u32");
-                        auto.subset(id).iter().any(|&s| in_cone[s as usize])
-                    });
-                    if affected {
-                        outcome.arena_dropped = true;
-                        *det = DetState::default();
-                    }
-                }
-                WeakFate::Updated
-            }
-        } else {
-            // τ-free with no live weak artifacts (or none derivable — the
-            // closure was never built): nothing weak exists to repair.
-            WeakFate::Valid
-        };
-
-        // Partition memo: re-solve over the instances patched in place, keep
-        // what the weak fate proves untouched, drop the rest for lazy
-        // recomputation.  Cells are rebuilt rather than mutated — the memo
-        // is single-flight per cell, and `&mut self` guarantees no reader.
-        let algorithm = self.algorithm;
-        let map = self.partitions.get_mut().expect("partitions lock poisoned");
-        let old_cells = std::mem::take(map);
-        for (notion, cell) in old_cells {
-            if cell.get().is_none() {
-                continue; // never computed: drop the empty cell
-            }
-            let replacement: Option<Partition> = match notion {
-                Equivalence::Strong => strong_updated.then(|| {
-                    let inst = self.strong_instance.get().expect("updated in place");
-                    solve(inst, algorithm)
-                }),
-                // Level 0 of `≈ₖ` is the extension-set partition — edge
-                // edits cannot touch it.
-                Equivalence::KObservational(0) => {
-                    map.insert(notion, cell);
-                    continue;
-                }
-                Equivalence::Observational => match weak_fate {
-                    WeakFate::Valid => {
-                        map.insert(notion, cell);
-                        continue;
-                    }
-                    WeakFate::Updated => {
-                        self.weak_instance.get().map(|inst| solve(inst, algorithm))
-                    }
-                    WeakFate::Dropped => None,
-                },
-                _ => match weak_fate {
-                    WeakFate::Valid => {
-                        map.insert(notion, cell);
-                        continue;
-                    }
-                    _ => None,
-                },
-            };
-            if let Some(next) = replacement {
-                let fresh: PartitionCell = Arc::default();
-                fresh
-                    .set(Arc::new(next))
-                    .expect("freshly created partition cell");
-                map.insert(notion, fresh);
-                outcome.partitions_delta_refined += 1;
-            }
-        }
-        outcome
+        (next, outcome)
     }
 
     /// Heap bytes held by the session's subset arena (0 until some PSPACE
@@ -972,9 +719,9 @@ impl EquivSession {
 
     /// Resident size of the session in bytes: the process itself plus every
     /// cache the session has materialized so far, each measured from its
-    /// live container capacities (`resident_bytes` on the artifact).  The
-    /// instance figures include any pending-delta edge buffers a recent
-    /// [`EquivSession::apply_delta`] left unmerged.  Used by the
+    /// live container capacities (`resident_bytes` on the artifact).  A
+    /// τ-closure shared with a derived session counts in full in both.
+    /// Used by the
     /// `ccs-server` registry for LRU byte accounting and by the `mem`
     /// report table.  Allocator slack and per-allocation headers are not
     /// counted, so the figure is a measured lower bound on allocator truth —
@@ -1019,37 +766,6 @@ impl EquivSession {
         }
         bytes
     }
-}
-
-/// Characteristic vector of the backward reachability cone of `seeds`
-/// under the union of the current (post-mutation) transition relation and
-/// the `extra` edges — the removed ones, so the cone covers the old and
-/// the new graph at once.  Its complement is successor-closed in both
-/// graphs, which is what lets `apply_delta` keep subset-arena entries
-/// whose members all live outside it.
-fn backward_reach(fsp: &Fsp, extra: &[(StateId, Label, StateId)], seeds: &[StateId]) -> Vec<bool> {
-    let n = fsp.num_states();
-    let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); n];
-    for (f, _, t) in fsp.all_transitions() {
-        preds[t.index()].push(f);
-    }
-    for &(f, _, t) in extra {
-        preds[t.index()].push(f);
-    }
-    let mut in_cone = vec![false; n];
-    let mut stack: Vec<StateId> = seeds.to_vec();
-    for &s in seeds {
-        in_cone[s.index()] = true;
-    }
-    while let Some(q) = stack.pop() {
-        for &p in &preds[q.index()] {
-            if !in_cone[p.index()] {
-                in_cone[p.index()] = true;
-                stack.push(p);
-            }
-        }
-    }
-    in_cone
 }
 
 #[cfg(test)]
@@ -1374,7 +1090,7 @@ mod tests {
     }
 
     #[test]
-    fn apply_delta_matches_fresh_sessions_across_notions() {
+    fn with_delta_matches_fresh_sessions_across_notions() {
         let f = format::parse(
             "trans p tau q\ntrans q a r\ntrans s a t\ntrans u b v\ntrans w b x\naccept r t v x",
         )
@@ -1399,111 +1115,55 @@ mod tests {
                     .collect::<Vec<_>>()
             };
             let (adds, removes) = (resolve(&adds), resolve(&removes));
-            session.apply_delta(&adds, &removes);
+            let before = session.fsp().clone();
+            let next = session.with_delta(&adds, &removes).0;
+            // The parent is a snapshot: the update leaves it as it was.
+            assert_eq!(session.fsp(), &before);
+            assert_matches_fresh(&session);
+            session = next;
             assert_matches_fresh(&session);
         }
     }
 
     #[test]
-    fn tau_free_delta_keeps_the_closure_and_the_remote_arena() {
-        // Region A (a0..b1) answers the language query; region B (u, v, w)
-        // is disjoint and absorbs the edit.
+    fn tau_free_delta_shares_the_closure() {
         let f = format::parse(
             "trans a0 tau a1\ntrans a1 x a2\ntrans b0 x b1\n\
              trans u y v\ntrans v y w\naccept a2 b1 w",
         )
         .unwrap();
-        let mut session = EquivSession::for_process(&f);
+        let session = EquivSession::for_process(&f);
         let (a0, b0) = (
             f.state_by_name("a0").unwrap(),
             f.state_by_name("b0").unwrap(),
         );
         assert!(session.equivalent_states(a0, b0, Equivalence::Language));
         assert_eq!(session.closure_builds(), 1);
-        let steps = session.subset_steps_computed();
-        assert!(steps > 0);
 
-        let outcome = session.apply_delta(&[edge(session.fsp(), "v", Some("y"), "u")], &[]);
+        let (session, outcome) =
+            session.with_delta(&[edge(session.fsp(), "v", Some("y"), "u")], &[]);
         assert!(!outcome.tau_touched);
         assert_eq!(outcome.effective_additions, 1);
-        assert_eq!(outcome.weak_rows_changed, 1, "only v's y-row changes");
-        assert!(outcome.view_patched, "the cached view is respliced");
-        assert!(
-            !outcome.arena_dropped,
-            "no interned subset reaches the edited region"
-        );
+        assert!(outcome.arena_dropped, "the new session starts without one");
 
-        // The previously-answered query costs nothing new: same verdict,
-        // no closure rebuild, no fresh subset exploration.
         assert!(session.equivalent_states(a0, b0, Equivalence::Language));
         assert_eq!(session.closure_builds(), 1, "τ-closure survived the delta");
-        assert_eq!(
-            session.subset_steps_computed(),
-            steps,
-            "retained arena re-answers without re-exploring"
-        );
         assert_matches_fresh(&session);
     }
 
     #[test]
-    fn tau_touching_delta_rebuilds_weak_artifacts_but_resolves_strong() {
+    fn tau_touching_delta_rebuilds_the_closure() {
         let f = format::parse("trans p tau q\ntrans q a r\ntrans s a t\naccept r t").unwrap();
-        let mut session = EquivSession::for_process(&f);
+        let session = EquivSession::for_process(&f);
         session.classify_all(Equivalence::Strong);
         session.classify_all(Equivalence::Observational);
         assert_eq!(session.closure_builds(), 1);
-        let refinements = session.refinements_run();
 
-        let outcome = session.apply_delta(&[edge(session.fsp(), "s", None, "p")], &[]);
+        let (session, outcome) = session.with_delta(&[edge(session.fsp(), "s", None, "p")], &[]);
         assert!(outcome.tau_touched);
-        assert_eq!(outcome.partitions_delta_refined, 1, "the strong partition");
-
-        // Strong answers from the re-solved cell — no new refinement —
-        // while the weak side recomputes its closure lazily.
-        session.classify_all(Equivalence::Strong);
-        assert_eq!(session.refinements_run(), refinements);
+        assert!(!outcome.arena_dropped, "no arena was ever built");
         assert_matches_fresh(&session);
         assert_eq!(session.closure_builds(), 2, "τ-touching batch rebuilt ⇒ε");
-    }
-
-    #[test]
-    fn weakly_redundant_delta_retains_partitions_by_pointer() {
-        let f = format::parse("trans p tau q\ntrans q a r\naccept r").unwrap();
-        let mut session = EquivSession::for_process(&f);
-        let obs = session.classify_all(Equivalence::Observational);
-        let lang = session.classify_all(Equivalence::Language);
-        // p already weakly reaches r by `a` (τ then a): the direct edge
-        // changes no weak row.
-        let outcome = session.apply_delta(&[edge(session.fsp(), "p", Some("a"), "r")], &[]);
-        assert_eq!(outcome.weak_rows_changed, 0);
-        assert!(!outcome.view_patched);
-        assert!(!outcome.arena_dropped);
-        assert!(
-            Arc::ptr_eq(&obs, &session.classify_all(Equivalence::Observational)),
-            "weak-redundant batch keeps the observational partition object"
-        );
-        assert!(Arc::ptr_eq(
-            &lang,
-            &session.classify_all(Equivalence::Language)
-        ));
-        assert_matches_fresh(&session);
-    }
-
-    #[test]
-    fn apply_delta_pending_buffers_show_up_in_resident_bytes() {
-        let f = format::parse("trans p a q\ntrans r a s\ntrans t a u").unwrap();
-        let mut session = EquivSession::for_process(&f);
-        session.classify_all(Equivalence::Strong);
-        let before = session.approx_resident_bytes();
-        // A class-redundant addition: the strong instance buffers it as a
-        // pending delta, which the byte accounting must include.
-        let outcome = session.apply_delta(&[edge(session.fsp(), "p", Some("a"), "s")], &[]);
-        assert_eq!(outcome.effective_additions, 1);
-        assert!(
-            session.approx_resident_bytes() > before,
-            "pending-delta buffers count toward the resident figure"
-        );
-        assert_matches_fresh(&session);
     }
 
     /// The arena diagnostics are read-only: asking a fresh session for its
@@ -1512,28 +1172,13 @@ mod tests {
     #[test]
     fn arena_diagnostics_build_nothing() {
         let f = format::parse("trans p tau q\ntrans q a r\naccept r").unwrap();
-        let mut session = EquivSession::for_process(&f);
+        let session = EquivSession::for_process(&f);
         assert_eq!(session.subset_arena_size(), 0);
         assert_eq!(session.subset_steps_computed(), 0);
-        let outcome = session.apply_delta(&[edge(session.fsp(), "r", None, "p")], &[]);
+        let (next, outcome) = session.with_delta(&[edge(session.fsp(), "r", None, "p")], &[]);
         assert!(outcome.tau_touched);
         assert!(!outcome.arena_dropped);
         assert_eq!(session.closure_builds(), 0);
-    }
-
-    #[test]
-    fn noop_delta_leaves_the_session_untouched() {
-        let f = format::parse("trans p a q\ntrans q a r").unwrap();
-        let mut session = EquivSession::for_process(&f);
-        let strong = session.classify_all(Equivalence::Strong);
-        // Already present + never present: both edits are ineffective.
-        let present = edge(session.fsp(), "p", Some("a"), "q");
-        let absent = edge(session.fsp(), "p", Some("a"), "r");
-        let outcome = session.apply_delta(&[present], &[absent]);
-        assert_eq!(outcome, SessionDeltaOutcome::default());
-        assert!(Arc::ptr_eq(
-            &strong,
-            &session.classify_all(Equivalence::Strong)
-        ));
+        assert_eq!(next.closure_builds(), 0);
     }
 }

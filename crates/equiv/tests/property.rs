@@ -106,16 +106,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every producer of the weak relation — the [`weak_edges`] stream, the
-    /// [`SaturatedView`] CSR, a view patched after a τ-free edit, and the
-    /// session's weak partition instance — equals the definition.  Sizes
-    /// reach past 64 states, so rows span several bitset words.
+    /// [`SaturatedView`] CSR, and the session's weak partition instance —
+    /// equals the definition.  Sizes reach past 64 states, so rows span
+    /// several bitset words.
     #[test]
     fn weak_rows_match_the_definition(
         states in 1usize..160,
         seed in 0u64..1_000,
         tau_tenths in 1usize..7,
-        edit in (0usize..1_000, 0usize..2, 0usize..1_000, 0usize..1_000),
-        dirty_stride in 2usize..9,
     ) {
         let config = RandomConfig {
             tau_ratio: 0.1 * tau_tenths as f64,
@@ -147,31 +145,6 @@ proptest! {
             })
             .collect();
         prop_assert_eq!(&from_instance, &expected);
-
-        // A τ-free edit keeps the closure; the patched view must equal the
-        // definition on the edited process when the dirty set covers the
-        // backward τ-closure of the edited sources (plus arbitrary extras).
-        let (from, action, to, removal) = edit;
-        let from = StateId::from_index(from % n);
-        let added = (from, Label::Act(ccs_fsp::ActionId::from_index(action % k)), StateId::from_index(to % n));
-        let observable: Vec<_> = fsp.all_transitions().filter(|(_, l, _)| !l.is_tau()).collect();
-        let removed: Vec<_> = observable
-            .get(removal % observable.len().max(1))
-            .copied()
-            .into_iter()
-            .collect();
-        let mut edited = fsp.clone();
-        edited.apply_edge_delta(&[added], &removed);
-        let sources: Vec<StateId> = std::iter::once(from).chain(removed.iter().map(|e| e.0)).collect();
-        let dirty: Vec<StateId> = fsp
-            .state_ids()
-            .filter(|&p| {
-                p.index() % dirty_stride == 0 || sources.iter().any(|&s| closure.reaches(p, s))
-            })
-            .collect();
-        let patched = view.patched(&edited, &closure, &dirty);
-        prop_assert_eq!(&view_rows(&patched), &weak_by_definition(&edited));
-        prop_assert_eq!(&patched, &SaturatedView::build(&edited, &closure));
     }
 
     /// The computed strong partition is a strong bisimulation (a Σ-fixed-point)

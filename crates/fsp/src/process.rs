@@ -405,8 +405,7 @@ impl Fsp {
     /// The per-state sorted/duplicate-free invariant and the transition
     /// count are maintained; states, actions and variables are fixed — a
     /// mutation can only rewire `Δ` over the existing alphabet, which is
-    /// what keeps downstream caches (τ-closures, saturated views) patchable
-    /// instead of disposable.
+    /// what lets a τ-free edit keep the τ-closure.
     ///
     /// # Panics
     ///

@@ -154,8 +154,7 @@ pub fn weak_action_successors(
 }
 
 /// The one routine every weak row is built by: [`weak_edges`],
-/// [`SaturatedView::build`], [`SaturatedView::patched`] and
-/// [`weak_action_successors`] all call it.
+/// [`SaturatedView::build`] and [`weak_action_successors`] all call it.
 ///
 /// The row of `p` is computed in one walk over the observable transitions
 /// of `p`'s τ-closure: for every `p′ ∈ ⇒ε(p)` and `p′ →a p″`, the closure of
@@ -382,15 +381,9 @@ pub struct SaturatedView {
 
 impl SaturatedView {
     /// Lays out the weak transition relation of `fsp`, one [`WeakRows`]
-    /// row per state.
+    /// row per state, in state order.
     #[must_use]
     pub fn build(fsp: &Fsp, closure: &TauClosure) -> Self {
-        SaturatedView::assemble(fsp, closure, None)
-    }
-
-    /// Lays out every row of `fsp` in state order: copied from `old` where
-    /// its dirty flag is clear, built by [`WeakRows`] otherwise.
-    fn assemble(fsp: &Fsp, closure: &TauClosure, old: Option<(&SaturatedView, &[bool])>) -> Self {
         let n = fsp.num_states();
         let k = fsp.num_actions();
         let narrow = |len: usize| {
@@ -398,26 +391,15 @@ impl SaturatedView {
         };
         let mut offsets = Vec::with_capacity(n * (k + 1) + 1);
         offsets.push(0u32);
-        let mut targets: Vec<StateId> =
-            Vec::with_capacity(old.map_or(0, |(view, _)| view.targets.len()));
+        let mut targets: Vec<StateId> = Vec::new();
         let mut rows = WeakRows::new();
         for sid in fsp.state_ids() {
-            match old {
-                Some((view, dirty)) if !dirty[sid.index()] => {
-                    for c in 0..=k {
-                        targets.extend_from_slice(view.column(sid, c));
-                        offsets.push(narrow(targets.len()));
-                    }
-                }
-                _ => {
-                    for column in rows.row(fsp, closure, sid) {
-                        targets.extend_from_slice(column);
-                        offsets.push(narrow(targets.len()));
-                    }
-                    targets.extend_from_slice(closure.successors(sid));
-                    offsets.push(narrow(targets.len()));
-                }
+            for column in rows.row(fsp, closure, sid) {
+                targets.extend_from_slice(column);
+                offsets.push(narrow(targets.len()));
             }
+            targets.extend_from_slice(closure.successors(sid));
+            offsets.push(narrow(targets.len()));
         }
         SaturatedView {
             num_states: n,
@@ -490,33 +472,6 @@ impl SaturatedView {
         (0..self.num_actions)
             .filter(move |&c| !self.column(p, c).is_empty())
             .map(ActionId::from_index)
-    }
-
-    /// Re-lays the view with the rows of `dirty` states recomputed from the
-    /// (already mutated) process and its (still valid) τ-closure, copying
-    /// every clean row's slices verbatim — the mutation-path alternative to
-    /// a full [`SaturatedView::build`] when an edge batch only perturbed a
-    /// few states' weak successor sets.
-    ///
-    /// The caller owns the soundness obligation: `dirty` must cover every
-    /// state whose weak successors could have changed (for a τ-free batch,
-    /// the backward τ-closure of the delta sources).  `fsp` and `closure`
-    /// must describe the same state and action alphabet the view was built
-    /// over.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the process shape diverges from the view or a dirty state
-    /// is out of range.
-    #[must_use]
-    pub fn patched(&self, fsp: &Fsp, closure: &TauClosure, dirty: &[StateId]) -> SaturatedView {
-        assert_eq!(fsp.num_states(), self.num_states, "state count diverged");
-        assert_eq!(fsp.num_actions(), self.num_actions, "action count diverged");
-        let mut is_dirty = vec![false; self.num_states];
-        for &p in dirty {
-            is_dirty[p.index()] = true;
-        }
-        SaturatedView::assemble(fsp, closure, Some((self, &is_dirty)))
     }
 }
 
@@ -789,32 +744,6 @@ mod tests {
         assert!(view.successors(q, a).is_empty());
         assert_eq!(view.epsilon_successors(q), &[q]);
         assert!(view.weakly_enabled(q).next().is_none());
-    }
-
-    #[test]
-    fn patched_view_matches_a_full_rebuild() {
-        let mut f = sample();
-        let cl = tau_closure(&f);
-        let view = SaturatedView::build(&f, &cl);
-        // A τ-free edit: s gains an observable edge back to p.  The weak
-        // rows of every state that τ-reaches a source (here: r ⇒ε s and s
-        // itself... plus p, q which reach nothing new — dirty must cover
-        // the backward τ-closure of the source s: {r, s}).
-        let s = f.state_by_name("s").unwrap();
-        let p = f.state_by_name("p").unwrap();
-        let r = f.state_by_name("r").unwrap();
-        let b = f.action_id("b").unwrap();
-        f.apply_edge_delta(&[(s, Label::Act(b), p)], &[]);
-        let patched = view.patched(&f, &cl, &[r, s]);
-        assert_eq!(patched, SaturatedView::build(&f, &cl));
-    }
-
-    #[test]
-    fn patched_view_with_no_dirty_states_is_identical() {
-        let f = sample();
-        let cl = tau_closure(&f);
-        let view = SaturatedView::build(&f, &cl);
-        assert_eq!(view.patched(&f, &cl, &[]), view);
     }
 
     #[test]

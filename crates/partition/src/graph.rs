@@ -43,9 +43,8 @@
 //! parameter of the Kanellakis–Smolka `O(c²·n·log n)` bound — is an `O(1)`
 //! field read instead of a rescan.
 //!
-//! A built graph is not a dead end: [`LabeledGraph::merged_with`] and
-//! [`LabeledGraph::edited_with`] walk the existing CSR, drop removals, append
-//! the new edges and run the same layout, which is what makes incremental
+//! A built graph is not a dead end: [`LabeledGraph::merged_with`] walks the
+//! existing CSR, appends the new edges and runs the same layout, which is what makes incremental
 //! [`Instance::add_edge`](crate::Instance::add_edge)/solve interleavings
 //! cheap — no comparison sort of the full edge list.
 
@@ -174,7 +173,7 @@ impl LabeledGraph {
 
     /// Walks the successor CSR as packed edge triples, in the canonical
     /// sorted `(label, from, to)` order — the stream
-    /// [`LabeledGraph::edited_with`] relays out with its edits.
+    /// [`LabeledGraph::merged_with`] relays out with its extra edges.
     fn packed_edges(&self) -> impl Iterator<Item = Edge> + '_ {
         let n = self.num_elements;
         // With n == 0 the range is empty, so the divisions below never run.
@@ -205,29 +204,6 @@ impl LabeledGraph {
     /// Panics if any extra edge mentions an out-of-range label or element.
     #[must_use]
     pub fn merged_with(&self, extra: &[(usize, usize, usize)]) -> LabeledGraph {
-        self.edited_with(extra, &[])
-    }
-
-    /// Returns a new graph with `removals` deleted and `additions` merged in,
-    /// in one relayout: removals are applied first, then additions (so an
-    /// edge named in both ends up present).  Removals are dropped during the
-    /// CSR walk by binary search, and the surviving edges plus `additions`
-    /// go through the counting layout of [`GraphBuilder::build`]:
-    /// `O(m log r + p + k·n)` plus sorting the slots the additions land in,
-    /// for `p` additions and `r` removals.
-    ///
-    /// Removing an edge that is not present is a no-op, mirroring how adding
-    /// a duplicate edge is.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any edge mentions an out-of-range label or element.
-    #[must_use]
-    pub fn edited_with(
-        &self,
-        additions: &[(usize, usize, usize)],
-        removals: &[(usize, usize, usize)],
-    ) -> LabeledGraph {
         let pack = |&(l, from, to): &(usize, usize, usize)| -> Edge {
             assert!(l < self.num_labels, "label out of range");
             assert!(from < self.num_elements, "source element out of range");
@@ -238,37 +214,17 @@ impl LabeledGraph {
                 StateId::from_index(to),
             )
         };
-        let mut gone: Vec<Edge> = removals.iter().map(pack).collect();
-        gone.sort_unstable();
-        let mut edges = Vec::with_capacity(self.num_edges + additions.len());
-        edges.extend(
-            self.packed_edges()
-                .filter(|e| gone.binary_search(e).is_err()),
-        );
-        edges.extend(additions.iter().map(pack));
+        let mut edges = Vec::with_capacity(self.num_edges + extra.len());
+        edges.extend(self.packed_edges());
+        edges.extend(extra.iter().map(pack));
         layout(self.num_elements, self.num_labels, edges)
-    }
-
-    /// Whether `to ∈ fₗ(from)` — a binary search over the sorted successor
-    /// slice, `O(log c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label`, `from` or `to` is out of range.
-    #[must_use]
-    pub fn has_edge(&self, label: usize, from: usize, to: usize) -> bool {
-        assert!(to < self.num_elements, "target element out of range");
-        self.successors(label, from)
-            .binary_search(&StateId::from_index(to))
-            .is_ok()
     }
 }
 
 /// Lays out an edge list in any order, duplicates allowed, as a
 /// [`LabeledGraph`] by counting (see the module docs): `O(m + k·n)` plus the
-/// per-slot sorts.  The one layout routine behind [`GraphBuilder::build`],
-/// [`LabeledGraph::merged_with`] and [`LabeledGraph::edited_with`]; it
-/// consumes `edges` and frees it before the predecessor arrays exist.
+/// per-slot sorts.  The one layout routine behind [`GraphBuilder::build`]
+/// and [`LabeledGraph::merged_with`]; it consumes `edges` and frees it before the predecessor arrays exist.
 fn layout(n: usize, k: usize, edges: Vec<Edge>) -> LabeledGraph {
     // Offsets are u32 positions into the target arrays; the ground-set check
     // bounds n and k but not m, so the edge count gets its own check here.
@@ -640,54 +596,6 @@ mod tests {
     fn merged_with_checks_ranges() {
         let g = LabeledGraph::empty(2, 1);
         let _ = g.merged_with(&[(0, 0, 2)]);
-    }
-
-    #[test]
-    fn edited_with_agrees_with_a_full_rebuild() {
-        let mut b = GraphBuilder::new(5, 2);
-        b.extend_edges([(0, 0, 1), (0, 2, 3), (1, 4, 0), (1, 1, 1)]);
-        let base = b.build();
-        let additions = [(0, 0, 4), (0, 2, 2), (0, 0, 4)];
-        let removals = [(0, 2, 3), (1, 4, 0), (1, 2, 2)]; // last one absent: no-op
-        let edited = base.edited_with(&additions, &removals);
-
-        let mut full = GraphBuilder::new(5, 2);
-        full.extend_edges([(0, 0, 1), (1, 1, 1), (0, 0, 4), (0, 2, 2)]);
-        assert_eq!(edited, full.build());
-        assert_eq!(edited.num_edges(), 4);
-        assert!(edited.predecessors(0, 3).is_empty());
-        assert_eq!(edited.successors(0, 0), &[s(1), s(4)]);
-    }
-
-    #[test]
-    fn edited_with_lets_additions_win_over_removals() {
-        let mut b = GraphBuilder::new(3, 1);
-        b.add_edge(0, 0, 1);
-        let g = b.build();
-        // Removals apply first, additions second: the edge survives.
-        let edited = g.edited_with(&[(0, 0, 1)], &[(0, 0, 1)]);
-        assert_eq!(edited, g);
-        // Pure removal of everything leaves the empty graph.
-        assert_eq!(g.edited_with(&[], &[(0, 0, 1)]), LabeledGraph::empty(3, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "source element out of range")]
-    fn edited_with_checks_removal_ranges() {
-        let g = LabeledGraph::empty(2, 1);
-        let _ = g.edited_with(&[], &[(0, 2, 0)]);
-    }
-
-    #[test]
-    fn has_edge_matches_the_successor_lists() {
-        let mut b = GraphBuilder::new(4, 2);
-        b.extend_edges([(0, 0, 1), (0, 0, 3), (1, 2, 0)]);
-        let g = b.build();
-        assert!(g.has_edge(0, 0, 1));
-        assert!(g.has_edge(0, 0, 3));
-        assert!(g.has_edge(1, 2, 0));
-        assert!(!g.has_edge(0, 0, 2));
-        assert!(!g.has_edge(1, 0, 1));
     }
 
     #[test]

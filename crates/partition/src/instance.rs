@@ -13,9 +13,10 @@ use crate::ids::{IdOverflow, StateId};
 /// layout plus a small list of *pending* edges recorded since the base was
 /// built.  A query sees `base ∪ pending` — computed lazily by the sorted
 /// merge of [`LabeledGraph::merged_with`] (`O(m + p log p)` for `p` pending
-/// edges) and folded back into the base on the next mutation, so
-/// interleaving [`Instance::add_edge`] with solver queries never re-sorts
-/// the full edge list.  Successor and predecessor queries are slice views
+/// edges) and folded back into the base on the next [`Instance::add_edge`],
+/// so interleaving additions with solver queries never re-sorts the full
+/// edge list.  Edges are never removed: an edited process gets a fresh
+/// instance.  Successor and predecessor queries are slice views
 /// into contiguous storage, and [`Instance::num_edges`] /
 /// [`Instance::max_fanout`] are `O(1)` field reads of layout-computed
 /// values.  All per-element arrays are 32-bit ([`StateId`] targets, `u32`
@@ -40,7 +41,7 @@ pub struct Instance {
     base: LabeledGraph,
     /// Edges recorded since `base` was laid out (duplicates allowed).
     pending: Vec<(usize, usize, usize)>,
-    /// Lazily merged `base ∪ pending`; folded into `base` on mutation.
+    /// Lazily merged `base ∪ pending`; folded into `base` on `add_edge`.
     merged: OnceLock<LabeledGraph>,
 }
 
@@ -152,79 +153,6 @@ impl Instance {
     /// Reserves room for at least `additional` further edges.
     pub fn reserve_edges(&mut self, additional: usize) {
         self.pending.reserve(additional);
-    }
-
-    /// Applies a whole edge batch — removals first, then additions — as one
-    /// first-class mutation.
-    ///
-    /// This is the batched sibling of [`Instance::add_edge`], and the entry
-    /// point of a live session's mutation path, which patches its instances
-    /// here and then re-solves them.  The whole batch collapses into at most **one** relayout however many
-    /// edges it carries: a pure-addition batch just extends the pending
-    /// list (merged lazily by the next query, exactly like `add_edge`),
-    /// while a batch with removals folds `base ∪ pending` and the edits
-    /// into a single [`LabeledGraph::edited_with`] pass — it never pays one
-    /// merge per edge.
-    ///
-    /// Removing an absent edge is a no-op, mirroring duplicate additions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any edge mentions an out-of-range label or element.
-    pub fn apply_delta(
-        &mut self,
-        additions: &[(usize, usize, usize)],
-        removals: &[(usize, usize, usize)],
-    ) {
-        for &(label, from, to) in additions.iter().chain(removals) {
-            assert!(label < self.num_labels(), "label out of range");
-            assert!(from < self.num_elements(), "source element out of range");
-            assert!(to < self.num_elements(), "target element out of range");
-        }
-        if removals.is_empty() {
-            if let Some(merged) = self.merged.take() {
-                self.base = merged;
-                self.pending.clear();
-            }
-            self.pending.extend_from_slice(additions);
-        } else {
-            // Removals force a relayout; collapse pending edges into the
-            // same single `edited_with` pass instead of merging them first.
-            let edited = if self.pending.is_empty() {
-                self.base.edited_with(additions, removals)
-            } else {
-                let mut combined = self.pending.clone();
-                combined.extend_from_slice(additions);
-                // A pending edge may itself be removed by this batch;
-                // removals-first ordering means a pending edge named only in
-                // `removals` must not survive, while one re-added here does.
-                // `edited_with` applies removals before additions, so feeding
-                // pending through the additions side keeps exactly the
-                // re-added ones — *except* pending edges absent from
-                // `additions` that are also being removed, which must drop.
-                let doomed: Vec<(usize, usize, usize)> = removals
-                    .iter()
-                    .copied()
-                    .filter(|e| !additions.contains(e))
-                    .collect();
-                combined.retain(|e| !doomed.contains(e));
-                self.base.edited_with(&combined, removals)
-            };
-            self.base = edited;
-            self.pending.clear();
-            self.merged = OnceLock::new();
-        }
-    }
-
-    /// Whether `to ∈ fₗ(from)` — a binary search over the sorted successor
-    /// slice, `O(log c)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `label`, `from` or `to` is out of range.
-    #[must_use]
-    pub fn has_edge(&self, label: usize, from: usize, to: usize) -> bool {
-        self.graph().has_edge(label, from, to)
     }
 
     /// The flat CSR view of the relations: the base layout when nothing is
@@ -427,56 +355,13 @@ mod tests {
         }
     }
 
-    #[test]
-    fn apply_delta_matches_batch_construction() {
-        let mut inst = Instance::new(5, 2);
-        inst.add_edge(0, 0, 1);
-        inst.add_edge(0, 1, 2);
-        inst.add_edge(1, 2, 3);
-        inst.apply_delta(&[(0, 3, 4), (1, 4, 0)], &[(0, 1, 2), (1, 0, 0)]);
-        let mut fresh = Instance::new(5, 2);
-        for (l, f, t) in [(0, 0, 1), (1, 2, 3), (0, 3, 4), (1, 4, 0)] {
-            fresh.add_edge(l, f, t);
-        }
-        assert_eq!(inst, fresh);
-        assert!(inst.has_edge(0, 3, 4));
-        assert!(!inst.has_edge(0, 1, 2));
-    }
-
-    #[test]
-    fn apply_delta_lets_additions_win_over_removals() {
-        let mut inst = Instance::new(3, 1);
-        inst.add_edge(0, 0, 1);
-        // The same edge named on both sides: removals first, so it survives.
-        inst.apply_delta(&[(0, 0, 1), (0, 1, 2)], &[(0, 0, 1)]);
-        assert!(inst.has_edge(0, 0, 1));
-        assert!(inst.has_edge(0, 1, 2));
-        assert_eq!(inst.num_edges(), 2);
-    }
-
-    #[test]
-    fn apply_delta_removes_pending_edges_too() {
-        // An edge still sitting in the pending list (never laid out) must be
-        // just as removable as one already in the base CSR.
-        let mut inst = Instance::new(4, 1);
-        inst.add_edge(0, 0, 1);
-        let _ = inst.graph(); // lay out the base
-        inst.add_edge(0, 1, 2); // pending only
-        inst.add_edge(0, 2, 3); // pending only
-        inst.apply_delta(&[(0, 3, 0)], &[(0, 1, 2), (0, 0, 1)]);
-        let mut fresh = Instance::new(4, 1);
-        fresh.add_edge(0, 2, 3);
-        fresh.add_edge(0, 3, 0);
-        assert_eq!(inst, fresh);
-    }
-
-    /// Regression test for repeated solve/mutate/solve cycles: each query
-    /// after a mutation must pay exactly one relayout for the edges of
+    /// Regression test for repeated add/solve cycles: each query after a
+    /// batch of additions must pay exactly one relayout for the edges of
     /// that batch (the previous merged layout is promoted to the base, so
     /// chains of batches never re-merge already-merged edges), and the
     /// result must stay identical to a from-scratch build at every step.
     #[test]
-    fn repeated_solve_mutate_solve_cycles_stay_incremental() {
+    fn repeated_add_solve_cycles_stay_incremental() {
         use crate::{solve, Algorithm};
         let n = 16;
         let mut inst = Instance::new(n, 2);
@@ -486,28 +371,15 @@ mod tests {
                 (round % 2, round % n, (round + 1) % n),
                 ((round + 1) % 2, (round + 3) % n, round % n),
             ];
-            let removals: Vec<(usize, usize, usize)> = if round % 3 == 2 {
-                vec![live[round / 3]]
-            } else {
-                Vec::new()
-            };
-            inst.apply_delta(&adds, &removals);
-            live.retain(|e| !removals.contains(e));
-            for e in adds {
-                if !live.contains(&e) {
-                    live.push(e);
+            for (l, f, t) in adds {
+                inst.add_edge(l, f, t);
+                if !live.contains(&(l, f, t)) {
+                    live.push((l, f, t));
                 }
             }
-            // After a removal batch the pending list must be folded away —
-            // the next query sees the base directly, no merge at all.
-            if !removals.is_empty() {
-                assert!(inst.pending.is_empty(), "round {round}");
-            } else {
-                // Addition batches stay pending until a query merges them,
-                // and the previous round's merge was promoted to the base:
-                // only this batch's edges are pending.
-                assert!(inst.pending.len() <= adds.len(), "round {round}");
-            }
+            // The previous round's merge was promoted to the base: only
+            // this batch's edges are pending.
+            assert!(inst.pending.len() <= adds.len(), "round {round}");
             let mut fresh = Instance::new(n, 2);
             for &(l, f, t) in &live {
                 fresh.add_edge(l, f, t);
@@ -520,13 +392,6 @@ mod tests {
                 "round {round}"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "source element out of range")]
-    fn apply_delta_checks_removal_ranges() {
-        let mut inst = Instance::new(2, 1);
-        inst.apply_delta(&[], &[(0, 9, 0)]);
     }
 
     #[test]

@@ -24,11 +24,10 @@
 //! Element, label and block identities are packed 32-bit newtypes (see
 //! [`ids`]), which halves the hot working set on 64-bit targets; ground sets
 //! beyond the packed range are rejected at construction with an
-//! [`IdOverflow`] rather than truncated.  Instances are patchable:
-//! [`Instance::apply_delta`] folds an edge batch into the CSR with one
-//! relayout, and a live `ccs-equiv` session re-solves the patched instance
-//! from scratch — no solver here repairs an old partition, since an edit
-//! can coarsen the solution and refinement only ever splits.
+//! [`IdOverflow`] rather than truncated.  An instance only grows
+//! ([`Instance::add_edge`]); an edited process gets a fresh instance, and
+//! no solver here repairs an old partition, since an edit can coarsen the
+//! solution and refinement only ever splits.
 //!
 //! Four solvers are provided for the generalized problem:
 //!

@@ -157,7 +157,7 @@ fn demo(addr: &str) -> Result<(), ClientError> {
         )));
     }
 
-    // Mutate the τ process in place: drop the τ prefix and wire p straight
+    // Mutate the τ process under the same handle: drop the τ prefix and wire p straight
     // to r by `a`.  Same handle, and the strong verdict flips — p and s now
     // both do exactly one `a` into a dead state.
     let (added, removed) = client.mutate(&tau.session, &[("p", "a", "r")], &[("p", "tau", "q")])?;

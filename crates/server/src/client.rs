@@ -272,11 +272,11 @@ impl Client {
             .collect()
     }
 
-    /// Applies an edge delta to a live session in place: each entry is a
+    /// Applies an edge delta to a live session: each entry is a
     /// `(from, label, to)` name triple, with `"tau"` naming the silent
     /// action.  Returns `(added, removed)` — the edits that actually took
-    /// effect.  The handle and every cache the delta does not invalidate
-    /// survive on the server.
+    /// effect.  The handle survives and names a session over the edited
+    /// process from then on.
     ///
     /// # Errors
     ///

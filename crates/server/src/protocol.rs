@@ -223,26 +223,21 @@ impl Service {
     }
 
     fn op_mutate(&self, request: &Json) -> Result<Json, EquivError> {
-        let id = str_field(request, "session")?.to_owned();
-        let session = self.registry.get(&id)?;
-        let additions = edge_list(&session, request, "add")?;
-        let removals = edge_list(&session, request, "remove")?;
-        // Unshare before mutating so the registry can apply the delta in
-        // place instead of swapping in a rebuilt session.
-        drop(session);
-        let outcome = self.registry.mutate(&id, &additions, &removals)?;
+        let id = str_field(request, "session")?;
+        let (additions, removals) = {
+            let session = self.registry.get(id)?;
+            (
+                edge_list(&session, request, "add")?,
+                edge_list(&session, request, "remove")?,
+            )
+        };
+        let outcome = self.registry.mutate(id, &additions, &removals)?;
         Ok(Json::obj([
             ("ok", Json::Bool(true)),
             ("added", as_num(outcome.effective_additions)),
             ("removed", as_num(outcome.effective_removals)),
             ("tau_touched", Json::Bool(outcome.tau_touched)),
-            ("weak_rows_changed", as_num(outcome.weak_rows_changed)),
-            ("view_patched", Json::Bool(outcome.view_patched)),
             ("arena_dropped", Json::Bool(outcome.arena_dropped)),
-            (
-                "partitions_delta_refined",
-                as_num(outcome.partitions_delta_refined),
-            ),
         ]))
     }
 

@@ -3,8 +3,9 @@
 //!
 //! Sessions are handed out as `Arc<EquivSession>` — the session engine is
 //! `Sync`, so connection threads query a shared session concurrently while
-//! the registry lock is held only for the map lookup, never for the
-//! refinement itself.  Resident size is tracked with
+//! the registry lock is held only for the map lookup or swap, never for
+//! session work: not for a refinement, and not for the new session a
+//! `mutate` builds.  Resident size is tracked with
 //! [`EquivSession::approx_resident_bytes`], which grows as a session
 //! materializes its caches; the budget is re-checked on every `open`, so a
 //! registry full of warm sessions evicts the least-recently-touched ones
@@ -14,7 +15,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use ccs_equiv::{EquivError, EquivSession, SessionDeltaOutcome};
+use ccs_equiv::{EquivError, EquivSession, Equivalence, SessionDeltaOutcome};
 use ccs_fsp::{Fsp, Label, StateId};
 
 /// Capacity limits for a [`Registry`].
@@ -56,6 +57,10 @@ pub struct Registry {
     config: RegistryConfig,
     inner: Mutex<Inner>,
     evictions: AtomicUsize,
+    /// Test hook: when armed, the next `mutate` parks between building its
+    /// new session and swapping it in.
+    #[cfg(test)]
+    park: Mutex<Option<tests::Park>>,
 }
 
 /// A point-in-time summary of the registry, reported by the `stats` op.
@@ -81,6 +86,8 @@ impl Registry {
             config,
             inner: Mutex::new(Inner::default()),
             evictions: AtomicUsize::new(0),
+            #[cfg(test)]
+            park: Mutex::new(None),
         }
     }
 
@@ -161,18 +168,21 @@ impl Registry {
         }
     }
 
-    /// Applies an edge delta to the named session **in place** — the
-    /// `mutate` op.  The session keeps its handle and, via
-    /// [`EquivSession::apply_delta`], every cache the delta does not
-    /// invalidate (τ-closure, patched saturated view, delta-refined
-    /// partitions, untouched subset arena).
+    /// Applies an edge delta to the named session — the `mutate` op.  The
+    /// handle then names a new session over the edited process, built by
+    /// [`EquivSession::with_delta`] outside the registry lock; the lock is
+    /// taken only to swap it in.  Queries already running on the old
+    /// session finish against the pre-edit process, and every lookup after
+    /// the swap sees the new one.  After the swap, still outside the lock,
+    /// the new session solves the `Strong` and `Observational` partitions
+    /// the old one had cached, so the handle stays as warm as it was.  The
+    /// registry lets go of the old session first, so unless a query still
+    /// holds it, the two are not resident at once.
     ///
-    /// `apply_delta` needs exclusive ownership; if connection threads still
-    /// hold clones of the `Arc`, a detached session is rebuilt over the
-    /// mutated process and swapped in — in-flight queries finish against
-    /// the pre-delta snapshot, later lookups see the new one.  This is the
-    /// one registry call that may do session work under the registry lock;
-    /// mutations are assumed rare next to queries.
+    /// The swap happens only if the handle still names the session the
+    /// update was built from.  If another `mutate` swapped first, the batch
+    /// is applied again to the newer session, so no edit is lost.  A batch
+    /// with no effective edit swaps nothing, and the warm session stays.
     ///
     /// # Errors
     ///
@@ -184,20 +194,37 @@ impl Registry {
         additions: &[(StateId, Label, StateId)],
         removals: &[(StateId, Label, StateId)],
     ) -> Result<SessionDeltaOutcome, EquivError> {
-        let mut inner = self.inner.lock().expect("registry lock poisoned");
-        inner.clock += 1;
-        let now = inner.clock;
-        let mut entry = inner
-            .sessions
-            .remove(id)
-            .ok_or_else(|| EquivError::UnknownSession { id: id.to_owned() })?;
-        let mut session = Arc::try_unwrap(entry.session)
-            .unwrap_or_else(|shared| EquivSession::new(shared.fsp().clone()));
-        let outcome = session.apply_delta(additions, removals);
-        entry.session = Arc::new(session);
-        entry.touched = now;
-        inner.sessions.insert(id.to_owned(), entry);
-        Ok(outcome)
+        loop {
+            let base = self.get(id)?;
+            let (next, outcome) = base.with_delta(additions, removals);
+            if outcome.effective_additions == 0 && outcome.effective_removals == 0 {
+                return Ok(outcome);
+            }
+            #[cfg(test)]
+            self.park_if_armed();
+            let mut inner = self.inner.lock().expect("registry lock poisoned");
+            inner.clock += 1;
+            let now = inner.clock;
+            let entry = inner
+                .sessions
+                .get_mut(id)
+                .ok_or_else(|| EquivError::UnknownSession { id: id.to_owned() })?;
+            if Arc::ptr_eq(&entry.session, &base) {
+                let next = Arc::new(next);
+                entry.session = Arc::clone(&next);
+                entry.touched = now;
+                drop(inner);
+                let warm: Vec<Equivalence> = [Equivalence::Strong, Equivalence::Observational]
+                    .into_iter()
+                    .filter(|&notion| base.cached_partition(notion).is_some())
+                    .collect();
+                drop(base);
+                for notion in warm {
+                    next.classify_all(notion);
+                }
+                return Ok(outcome);
+            }
+        }
     }
 
     /// Closes a session; `true` if it existed.
@@ -243,8 +270,8 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ccs_equiv::Equivalence;
     use ccs_fsp::format;
+    use std::sync::mpsc;
 
     fn small_fsp(tag: usize) -> Fsp {
         format::parse(&format!("trans p{tag} a q{tag}\ntrans q{tag} b p{tag}")).unwrap()
@@ -303,7 +330,7 @@ mod tests {
     }
 
     #[test]
-    fn mutate_rewires_a_session_in_place() {
+    fn mutate_swaps_in_a_session_over_the_edited_process() {
         let registry = Registry::with_defaults();
         let (id, session) = registry.open(small_fsp(0));
         let f = session.fsp().clone();
@@ -312,19 +339,25 @@ mod tests {
             f.state_by_name("q0").unwrap(),
         );
         let a = Label::Act(f.action_id("a").unwrap());
-        assert!(!session.equivalent_states(p, q, Equivalence::Strong));
-        // Unshare so the registry mutates in place, then make the two states
-        // symmetric: q0 gains a's and loses b's mirror.
-        drop(session);
         let b = Label::Act(f.action_id("b").unwrap());
+        assert!(!session.equivalent_states(p, q, Equivalence::Strong));
+        // Make the two states symmetric: q0 gains a's and loses b's mirror.
         let outcome = registry
             .mutate(&id, &[(q, a, p)], &[(q, b, p)])
             .expect("live session");
         assert_eq!(outcome.effective_additions, 1);
         assert_eq!(outcome.effective_removals, 1);
-        let session = registry.get(&id).unwrap();
-        assert!(session.equivalent_states(p, q, Equivalence::Strong));
-        // A still-shared session is swapped, not blocked on.
+        let current = registry.get(&id).unwrap();
+        assert!(
+            current.cached_partition(Equivalence::Strong).is_some(),
+            "the partition cached before the edit is solved again"
+        );
+        assert!(current
+            .cached_partition(Equivalence::Observational)
+            .is_none());
+        assert!(current.equivalent_states(p, q, Equivalence::Strong));
+        // The handle still held from before is a snapshot of the old process.
+        assert!(!session.equivalent_states(p, q, Equivalence::Strong));
         let outcome = registry.mutate(&id, &[(q, b, p)], &[]).unwrap();
         assert_eq!(outcome.effective_additions, 1);
         assert!(!registry
@@ -332,6 +365,95 @@ mod tests {
             .unwrap()
             .equivalent_states(p, q, Equivalence::Strong));
         assert!(registry.mutate("nope", &[], &[]).is_err());
+    }
+
+    #[test]
+    fn noop_mutate_keeps_the_warm_session() {
+        let registry = Registry::with_defaults();
+        let (id, session) = registry.open(small_fsp(0));
+        let strong = session.classify_all(Equivalence::Strong);
+        let f = session.fsp();
+        let (p, q) = (
+            f.state_by_name("p0").unwrap(),
+            f.state_by_name("q0").unwrap(),
+        );
+        let a = Label::Act(f.action_id("a").unwrap());
+        // Already present + never present: both edits are ineffective.
+        let outcome = registry.mutate(&id, &[(p, a, q)], &[(p, a, p)]).unwrap();
+        assert_eq!(outcome, SessionDeltaOutcome::default());
+        let current = registry.get(&id).unwrap();
+        assert!(Arc::ptr_eq(&session, &current), "no new session swapped in");
+        assert!(Arc::ptr_eq(
+            &strong,
+            &current.classify_all(Equivalence::Strong)
+        ));
+    }
+
+    /// A mutate parked after building its new session holds no registry
+    /// lock: a query on another session and an `open` both complete
+    /// meanwhile (with the lock held, they would hang).
+    #[test]
+    fn a_parked_mutate_blocks_no_other_request() {
+        let registry = Registry::with_defaults();
+        let (id_a, session_a) = registry.open(small_fsp(0));
+        let (id_b, _) = registry.open(small_fsp(1));
+        let f = session_a.fsp().clone();
+        let (p, q) = (
+            f.state_by_name("p0").unwrap(),
+            f.state_by_name("q0").unwrap(),
+        );
+        let a = Label::Act(f.action_id("a").unwrap());
+        let (parked, release) = registry.arm_park();
+        std::thread::scope(|scope| {
+            let mutating = scope.spawn(|| registry.mutate(&id_a, &[(q, a, p)], &[]));
+            parked.recv().expect("mutate parks");
+            let session_b = registry.get(&id_b).unwrap();
+            let g = session_b.fsp();
+            let (p1, q1) = (
+                g.state_by_name("p1").unwrap(),
+                g.state_by_name("q1").unwrap(),
+            );
+            assert!(!session_b.equivalent_states(p1, q1, Equivalence::Strong));
+            let (id_c, _) = registry.open(small_fsp(2));
+            assert!(registry.get(&id_c).is_ok());
+            release.send(()).unwrap();
+            let outcome = mutating.join().unwrap().expect("live session");
+            assert_eq!(outcome.effective_additions, 1);
+        });
+        assert!(registry.get(&id_a).unwrap().fsp().has_transition(q, a, p));
+    }
+
+    /// Two mutates of one handle race: the first is parked before its
+    /// swap while the second completes.  The first then finds the handle
+    /// moved on, re-applies its batch to the newer session, and the final
+    /// process carries both edits.
+    #[test]
+    fn racing_mutates_of_one_handle_keep_both_edits() {
+        let registry = Registry::with_defaults();
+        let (id, session) = registry.open(small_fsp(0));
+        let f = session.fsp().clone();
+        let (p, q) = (
+            f.state_by_name("p0").unwrap(),
+            f.state_by_name("q0").unwrap(),
+        );
+        let a = Label::Act(f.action_id("a").unwrap());
+        let b = Label::Act(f.action_id("b").unwrap());
+        let (first, second) = ((q, a, p), (p, b, q));
+        let (parked, release) = registry.arm_park();
+        std::thread::scope(|scope| {
+            let racing = scope.spawn(|| registry.mutate(&id, &[first], &[]));
+            parked.recv().expect("first mutate parks");
+            let outcome = registry.mutate(&id, &[second], &[]).unwrap();
+            assert_eq!(outcome.effective_additions, 1);
+            release.send(()).unwrap();
+            let outcome = racing.join().unwrap().expect("live session");
+            assert_eq!(outcome.effective_additions, 1);
+        });
+        let current = registry.get(&id).unwrap();
+        for (from, label, to) in [first, second] {
+            assert!(current.fsp().has_transition(from, label, to));
+        }
+        assert_eq!(current.fsp().num_transitions(), f.num_transitions() + 2);
     }
 
     #[test]
@@ -346,5 +468,35 @@ mod tests {
         assert_eq!(stats.sessions, 2);
         assert_eq!(stats.refinements, 2);
         assert!(stats.resident_bytes > 0);
+    }
+
+    /// An armed [`Registry::mutate`] hook: the mutate signals `parked` once
+    /// its new session is built, then waits for `release` before it takes
+    /// the registry lock to swap.
+    #[derive(Debug)]
+    pub(super) struct Park {
+        parked: mpsc::Sender<()>,
+        release: mpsc::Receiver<()>,
+    }
+
+    impl Registry {
+        /// Parks the calling mutate if a test armed the hook; only the
+        /// first mutate after arming parks.
+        pub(super) fn park_if_armed(&self) {
+            let armed = self.park.lock().expect("park lock poisoned").take();
+            if let Some(park) = armed {
+                park.parked.send(()).expect("test waits for the park");
+                park.release.recv().expect("test releases the park");
+            }
+        }
+
+        /// Arms the hook; returns the "parked" receiver and the "release"
+        /// sender.
+        fn arm_park(&self) -> (mpsc::Receiver<()>, mpsc::Sender<()>) {
+            let (parked, parked_rx) = mpsc::channel();
+            let (release_tx, release) = mpsc::channel();
+            *self.park.lock().expect("park lock poisoned") = Some(Park { parked, release });
+            (parked_rx, release_tx)
+        }
     }
 }

@@ -1,12 +1,19 @@
 //! The TCP front end: line-oriented JSON over `std::net`, one thread per
 //! connection, all connections sharing one [`Service`].
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
+use crate::json::Json;
 use crate::protocol::Service;
+
+/// The longest request line the server reads, in bytes, newline excluded —
+/// far above the largest `open` a client sends in practice, and a bound on
+/// what one line can make the server allocate.  A longer line is answered
+/// with the `line-too-long` error code and the connection is closed.
+const MAX_LINE_BYTES: usize = 8 << 20;
 
 /// A bound (but not yet serving) equivalence server.
 #[derive(Debug)]
@@ -107,18 +114,45 @@ impl Server {
 
 fn serve_connection(service: &Service, stream: TcpStream) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        if (&mut reader).take(limit).read_until(b'\n', &mut buf)? == 0 {
+            return Ok(());
+        }
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        } else if buf.len() > MAX_LINE_BYTES {
+            let response = Json::obj([
+                ("ok", Json::Bool(false)),
+                ("code", Json::str("line-too-long")),
+                (
+                    "message",
+                    Json::str(format!(
+                        "request line longer than {MAX_LINE_BYTES} bytes; closing the connection"
+                    )),
+                ),
+            ]);
+            writer.write_all(response.to_string().as_bytes())?;
+            writer.write_all(b"\n")?;
+            writer.flush()?;
+            return Ok(());
+        }
+        let line =
+            std::str::from_utf8(&buf).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         if line.trim().is_empty() {
             continue;
         }
-        let response = service.handle_line(&line);
+        let response = service.handle_line(line);
         writer.write_all(response.as_bytes())?;
         writer.write_all(b"\n")?;
         writer.flush()?;
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -152,5 +186,46 @@ mod tests {
         // A second connection sees the same registry.
         let mut b = crate::client::Client::connect(handle.addr()).unwrap();
         assert!(b.pair(&opened.session, "strong", "p", "p").unwrap());
+    }
+
+    /// One line past the bound is answered with `line-too-long` and its
+    /// connection closed; the server keeps serving new connections.
+    #[test]
+    fn an_oversized_line_is_refused_and_the_server_stays_up() {
+        let handle = Server::bind("127.0.0.1:0", Service::default())
+            .unwrap()
+            .spawn()
+            .unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut response = String::new();
+        // A line of exactly the bound is read and parsed (and rejected as
+        // JSON).
+        let mut line = vec![b'x'; MAX_LINE_BYTES];
+        line.push(b'\n');
+        stream.write_all(&line).unwrap();
+        reader.read_line(&mut response).unwrap();
+        let value = crate::json::parse(response.trim_end()).unwrap();
+        assert_eq!(
+            value.get("code").and_then(Json::as_str),
+            Some("bad-request")
+        );
+        // One byte past the bound, with no newline, so the server has read
+        // all of it when it closes.
+        line.truncate(MAX_LINE_BYTES);
+        line.push(b'x');
+        stream.write_all(&line).unwrap();
+        response.clear();
+        reader.read_line(&mut response).unwrap();
+        let value = crate::json::parse(response.trim_end()).unwrap();
+        assert_eq!(value.get("ok"), Some(&Json::Bool(false)));
+        assert_eq!(
+            value.get("code").and_then(Json::as_str),
+            Some("line-too-long")
+        );
+        response.clear();
+        assert_eq!(reader.read_line(&mut response).unwrap(), 0, "closed");
+        let mut fresh = crate::client::Client::connect(handle.addr()).unwrap();
+        assert!(fresh.ping().unwrap());
     }
 }

@@ -19,7 +19,7 @@
 //!   `weak_pipeline` bench;
 //! * [`mutating_queries`] — base model × edit stream × query mix: disjoint
 //!   gadget copies with a seed-deterministic toggle sequence of
-//!   class-redundant and refining edits (for `EquivSession::apply_delta`
+//!   class-redundant and refining edits (for `EquivSession::with_delta`
 //!   and the server's `mutate` op);
 //! * [`protocols`] — a documented distributed-protocols corpus
 //!   (alternating-bit, ring leader election, two-phase commit, plus broken

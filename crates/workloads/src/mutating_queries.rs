@@ -1,12 +1,11 @@
 //! Mutating-query workloads: a base model, a deterministic edit stream, and
 //! a query mix — the input shape of the live-mutation path
-//! (`EquivSession::apply_delta`, which patches the session's instances and
-//! re-solves their cached partitions, and the server's `mutate` op).
+//! (`EquivSession::with_delta`, which builds a session over the edited
+//! process, and the server's `mutate` op).
 //!
 //! The base model is a union of disjoint copies of one small gadget, which
 //! keeps the interesting structure *local*: an edit batch touches a couple
-//! of copies, so most weak rows, the subset arena and the τ-closure survive
-//! it.  The edit stream is a seed-deterministic toggle sequence with two
+//! of copies and leaves the rest of the model as it was.  The edit stream is a seed-deterministic toggle sequence with two
 //! flavours per copy:
 //!
 //! * a **class-redundant** toggle — an edge into a block the source already

@@ -1,8 +1,8 @@
 //! Cross-crate property tests for live mutation: random edit streams drive
-//! the session-level `apply_delta` path (instances patched in place, cached
-//! partitions re-solved), asserting after every step that the maintained
-//! session is block-for-block identical to a fresh [`EquivSession`] over the
-//! mutated process.
+//! the session-level `with_delta` path (τ-closure shared on τ-free batches,
+//! everything else rebuilt lazily), asserting after every step that the
+//! derived session is block-for-block identical to a fresh [`EquivSession`]
+//! over the mutated process.
 
 use ccs_equiv::{EquivSession, Equivalence};
 use ccs_fsp::{Label, StateId};
@@ -42,8 +42,8 @@ fn assert_session_matches_fresh(session: &EquivSession) -> Result<(), TestCaseEr
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// The gadget toggle stream (τ-free: the cache-retaining fast paths)
-    /// through `EquivSession::apply_delta`, cross-checked per step.
+    /// The gadget toggle stream (τ-free: the closure-sharing path) through
+    /// `EquivSession::with_delta`, cross-checked per step.
     #[test]
     fn session_deltas_match_fresh_sessions_on_gadget_streams(
         copies in 2usize..8,
@@ -56,13 +56,13 @@ proptest! {
         // Warm the caches so deltas have something to invalidate or retain.
         let _ = session.classify_all(Equivalence::Observational);
         for batch in &wl.batches {
-            session.apply_delta(&batch.additions, &batch.removals);
+            session = session.with_delta(&batch.additions, &batch.removals).0;
             assert_session_matches_fresh(&session)?;
         }
     }
 
     /// Random edit streams over random τ-bearing processes: exercises the
-    /// τ-touching rebuild path and the strong-only re-solve.
+    /// τ-touching rebuild path as well as the closure-sharing one.
     #[test]
     fn session_deltas_match_fresh_sessions_on_tau_streams(
         states in 2usize..16,
@@ -90,9 +90,9 @@ proptest! {
             };
             let edge = (pick_state(&mut seed), pick_label(&mut seed), pick_state(&mut seed));
             if xorshift(&mut seed) % 3 == 0 {
-                session.apply_delta(&[], &[edge]);
+                session = session.with_delta(&[], &[edge]).0;
             } else {
-                session.apply_delta(&[edge], &[]);
+                session = session.with_delta(&[edge], &[]).0;
             }
             assert_session_matches_fresh(&session)?;
         }
